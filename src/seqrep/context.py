@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data.types import ClientSequence
-from .encoders import GruEncoder
+from .encoders import embed_pooled
 from .evaluation.windows import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
@@ -269,8 +269,11 @@ def train_attention_matrix(model, store: EmbeddingStore,
             own, ctxs, ids = [], [], []
             for s in samples:
                 seq = subset[s.client_index]
-                h = _embed_slice(model, seq, s.start, s.end)
-                own.append(h)
+                if seq.mcc_idx is None:
+                    raise ValueError(f"client {seq.client_id}: vocabulary not applied")
+                part = [(seq.mcc_idx[s.start : s.end], seq.amounts_t[s.start : s.end])]
+                own.append(embed_pooled(model.encoder, *pad_batch(part),
+                                        model.pool_strategy)[0])
                 t = int(seq.timestamps[s.end - 1])
                 ctxs.append(store.query(t, exclude=seq.client_id))
                 ids.append(seq.client_id)
@@ -300,24 +303,3 @@ def train_attention_matrix(model, store: EmbeddingStore,
         history.append(total / batches)
     return a.data.copy(), history
 
-
-def _embed_slice(model, seq: ClientSequence, start: int, end: int) -> np.ndarray:
-    """Pooled embedding of one slice, inference only."""
-    if seq.mcc_idx is None:
-        raise ValueError(f"client {seq.client_id}: vocabulary not applied")
-    part = [(seq.mcc_idx[start:end], seq.amounts_t[start:end])]
-    mcc, amt, lengths = pad_batch(part)
-    if isinstance(model.encoder, GruEncoder):
-        hidden = model.encoder.forward(mcc, amt).data
-        cls = None
-    else:
-        h, c = model.encoder.forward(mcc, amt, lengths)
-        hidden, cls = h.data, c.data
-    strategy = model.pool_strategy
-    if strategy == "last":
-        return hidden[0, -1]
-    if strategy == "mean":
-        return hidden[0].mean(axis=0)
-    if strategy == "max":
-        return hidden[0].max(axis=0)
-    return cls[0] if cls is not None else hidden[0, 0]

@@ -15,7 +15,7 @@ from .ingest import (
 from .preprocess import derive_local_labels, fit_mcc_vocab, split_dataset
 from .splice import splice_pair
 from .synthetic import SyntheticConfig, generate_synthetic
-from .types import ClientSequence, Dataset, MccVocab, Transaction, transform_amount
+from .types import ClientSequence, Dataset, MccVocab, transform_amount
 
 __all__ = [
     "ClientSequence",
@@ -23,7 +23,6 @@ __all__ = [
     "IngestError",
     "MccVocab",
     "SyntheticConfig",
-    "Transaction",
     "attach_annotations",
     "derive_local_labels",
     "fit_mcc_vocab",

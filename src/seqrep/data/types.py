@@ -7,28 +7,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-__all__ = ["Transaction", "ClientSequence", "Dataset", "MccVocab", "transform_amount"]
+__all__ = ["ClientSequence", "Dataset", "MccVocab", "transform_amount"]
 
 
 def transform_amount(a):
     """Signed log compression: sign(a) * ln(1 + |a|). Odd and monotone."""
     arr = np.asarray(a, dtype=np.float64)
     return np.sign(arr) * np.log1p(np.abs(arr))
-
-
-@dataclass(frozen=True)
-class Transaction:
-    """One transaction record; the record view of a sequence row."""
-
-    client_id: str
-    timestamp: int
-    mcc: int
-    amount: float
-    mcc_idx: int = -1
-
-    @property
-    def amount_transformed(self) -> float:
-        return float(transform_amount(self.amount))
 
 
 @dataclass
@@ -72,15 +57,6 @@ class ClientSequence:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def transaction(self, i: int) -> Transaction:
-        return Transaction(
-            client_id=self.client_id,
-            timestamp=int(self.timestamps[i]),
-            mcc=int(self.mcc[i]),
-            amount=float(self.amounts[i]),
-            mcc_idx=-1 if self.mcc_idx is None else int(self.mcc_idx[i]),
-        )
 
     def with_vocab(self, vocab: "MccVocab") -> "ClientSequence":
         return replace(self, mcc_idx=vocab.lookup(self.mcc))

@@ -3,9 +3,10 @@
 Both encoders consume the same per-transaction input: the MCC embedding row
 concatenated with the transformed amount (width d_emb + 1). The GRU is
 strictly causal; the transformer is bidirectional with sinusoidal positions
-and a prepended CLS slot. Forward passes run batched on padded arrays, and
-record on the active tape only when gradients are required, so the same code
-serves training and inference.
+and a prepended CLS slot. Both share one `forward(mcc_idx, amounts_t,
+lengths=None) -> (hidden, cls)`, with cls None for the GRU. Forward passes
+run batched on padded arrays, and record on the active tape only when
+gradients are required, so the same code serves training and inference.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ __all__ = [
     "encode_sequence",
     "pool_global",
     "pool_batch",
+    "pool_padded",
+    "embed_pooled",
     "POOL_STRATEGIES",
 ]
 
@@ -212,10 +215,15 @@ class GruEncoder:
         if g is not None:
             g[0] = 0.0
 
-    def forward(self, mcc_idx: np.ndarray, amounts_t: np.ndarray) -> Tensor:
-        """Encode a padded (B, L) batch into hidden states (B, L, d)."""
+    def forward(self, mcc_idx: np.ndarray, amounts_t: np.ndarray,
+                lengths: Optional[np.ndarray] = None) -> tuple[Tensor, None]:
+        """Encode a padded (B, L) batch into (hidden states (B, L, d), None).
+
+        The scan is causal, so padding after a row's end never reaches its
+        valid positions and `lengths` is not needed.
+        """
         x = embed_batch(self.emb_table, mcc_idx, amounts_t)
-        return self.core.scan(x)
+        return self.core.scan(x), None
 
 
 def _sinusoidal_positions(length: int, d: int) -> np.ndarray:
@@ -299,14 +307,16 @@ class TransformerEncoder:
         return blk["wo"](ctx)
 
     def forward(self, mcc_idx: np.ndarray, amounts_t: np.ndarray,
-                lengths: np.ndarray) -> tuple[Tensor, Tensor]:
+                lengths: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
         """Encode a padded (B, L) batch.
 
         Returns (hidden (B, L, d) for the transaction positions, cls (B, d)).
         Padded positions beyond each row's length are masked out of every
-        attention softmax.
+        attention softmax; without `lengths` every row is full.
         """
         b, length = mcc_idx.shape
+        if lengths is None:
+            lengths = np.full(b, length, dtype=np.int64)
         s = length + 1
         d = self.config.hidden
 
@@ -343,24 +353,16 @@ def build_encoder(config: EncoderConfig, seed: int = 0):
     return TransformerEncoder(config, seed)
 
 
-def _forward_single(encoder, seq: ClientSequence) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def encode_sequence(encoder, seq: ClientSequence) -> HiddenSequence:
+    """Per-timestep states for one full sequence (inference, no tape)."""
     if seq.mcc_idx is None:
         raise ValueError(
             f"client {seq.client_id}: vocabulary not applied (mcc_idx missing)"
         )
-    mcc = seq.mcc_idx[None, :]
-    amt = seq.amounts_t[None, :]
-    if isinstance(encoder, GruEncoder):
-        hidden = encoder.forward(mcc, amt)
-        return hidden.data[0], None
-    hidden, cls_out = encoder.forward(mcc, amt, np.array([len(seq)]))
-    return hidden.data[0], cls_out.data[0]
-
-
-def encode_sequence(encoder, seq: ClientSequence) -> HiddenSequence:
-    """Per-timestep states for one full sequence (inference, no tape)."""
-    vectors, cls_vec = _forward_single(encoder, seq)
-    return HiddenSequence(vectors=vectors, timestamps=seq.timestamps.copy(), cls=cls_vec)
+    hidden, cls_out = encoder.forward(seq.mcc_idx[None, :], seq.amounts_t[None, :],
+                                      np.array([len(seq)]))
+    return HiddenSequence(vectors=hidden.data[0], timestamps=seq.timestamps.copy(),
+                          cls=None if cls_out is None else cls_out.data[0])
 
 
 def pool_global(hidden: HiddenSequence, strategy: str) -> GlobalRepresentation:
@@ -405,3 +407,33 @@ def pool_batch(hidden: Tensor, lengths: np.ndarray, strategy: str,
         return multiply(summed, Tensor(1.0 / lengths[:, None]))
     neg = Tensor(np.where(mask[:, :, None] > 0, 0.0, MASK_SCORE))
     return reduce_max(add(hidden, neg), axis=1)
+
+
+def pool_padded(hidden: np.ndarray, lengths: np.ndarray, strategy: str,
+                cls: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numpy pooling of padded (B, L, d) states into a fresh (B, d) array.
+
+    The result never views `hidden`, so a caller that keeps pooled rows does
+    not keep the whole batch of states alive.
+    """
+    b, length, _ = hidden.shape
+    if strategy == "last":
+        return hidden[np.arange(b), lengths - 1]
+    if strategy == "first_token":
+        return np.array(cls if cls is not None else hidden[:, 0])
+    mask = np.arange(length)[None, :] < lengths[:, None]
+    if strategy == "mean":
+        return ((hidden * mask[:, :, None]).sum(axis=1)
+                / lengths[:, None].astype(np.float64))
+    if strategy == "max":
+        return np.where(mask[:, :, None], hidden, -np.inf).max(axis=1)
+    raise ValueError(f"unknown pooling strategy {strategy!r}")
+
+
+def embed_pooled(encoder, mcc_idx: np.ndarray, amounts_t: np.ndarray,
+                 lengths: np.ndarray, strategy: str) -> np.ndarray:
+    """Pooled (B, d) embeddings of a padded batch (inference, no tape)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    hidden, cls_out = encoder.forward(mcc_idx, amounts_t, lengths)
+    return pool_padded(hidden.data, lengths, strategy,
+                       None if cls_out is None else cls_out.data)

@@ -23,7 +23,6 @@ from ..objectives.train import named_grads
 __all__ = [
     "ProbeConfig",
     "MlpProbe",
-    "fit_probe",
     "MetricReport",
     "n_threads",
     "run_seeds",
@@ -97,15 +96,6 @@ class MlpProbe:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
         return softmax(self._logits(x).data)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_proba(x).argmax(axis=1)
-
-
-def fit_probe(x: np.ndarray, y: np.ndarray, n_classes: int,
-              config: ProbeConfig | None = None, seed: int = 0) -> MlpProbe:
-    probe = MlpProbe(x.shape[1], n_classes, config, seed)
-    return probe.fit(x, y, seed)
 
 
 @dataclass

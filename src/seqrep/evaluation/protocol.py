@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..data.types import ClientSequence
-from ..encoders import GruEncoder
+from ..encoders import embed_pooled
 from ..objectives.sampling import pad_batch
 from .heads import MlpProbe, ProbeConfig
 from .metrics import classification_metrics
@@ -56,29 +56,12 @@ class FrozenModel:
     pool_strategy: str
 
 
-def _pool_padded(hidden: np.ndarray, lengths: np.ndarray, strategy: str,
-                 cls: Optional[np.ndarray]) -> np.ndarray:
-    b, length, _ = hidden.shape
-    if strategy == "last":
-        return hidden[np.arange(b), lengths - 1]
-    if strategy == "first_token":
-        return cls if cls is not None else hidden[:, 0]
-    mask = np.arange(length)[None, :] < lengths[:, None]
-    if strategy == "mean":
-        return ((hidden * mask[:, :, None]).sum(axis=1)
-                / lengths[:, None].astype(np.float64))
-    if strategy == "max":
-        return np.where(mask[:, :, None], hidden, -np.inf).max(axis=1)
-    raise ValueError(f"unknown pooling strategy {strategy!r}")
-
-
 def global_embeddings(model, clients: Sequence[ClientSequence],
                       chunk: int = 64) -> np.ndarray:
     """One pooled vector per client, in the given client order."""
     if not clients:
         raise ValueError("no clients to embed")
     encoder = model.encoder
-    strategy = model.pool_strategy
     order = np.argsort([-len(c) for c in clients], kind="stable")
     out = np.zeros((len(clients), encoder.hidden))
     for lo in range(0, len(order), chunk):
@@ -89,14 +72,7 @@ def global_embeddings(model, clients: Sequence[ClientSequence],
             if seq.mcc_idx is None:
                 raise ValueError(f"client {seq.client_id}: vocabulary not applied")
             parts.append((seq.mcc_idx, seq.amounts_t))
-        mcc, amt, lengths = pad_batch(parts)
-        if isinstance(encoder, GruEncoder):
-            hidden = encoder.forward(mcc, amt).data
-            cls = None
-        else:
-            h, c = encoder.forward(mcc, amt, lengths)
-            hidden, cls = h.data, c.data
-        out[idx] = _pool_padded(hidden, lengths, strategy, cls)
+        out[idx] = embed_pooled(encoder, *pad_batch(parts), model.pool_strategy)
     return out
 
 

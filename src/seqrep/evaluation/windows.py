@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.types import ClientSequence
-from ..encoders import GruEncoder
+from ..encoders import embed_pooled
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -22,7 +22,6 @@ __all__ = [
     "WindowEmbeddings",
     "window_ends",
     "window_index",
-    "sliding_window_embed",
     "sliding_window_embed_many",
 ]
 
@@ -61,30 +60,6 @@ def window_index(tau: int, window: int = DEFAULT_WINDOW,
     return max(0, (tau - window) // stride + 1)
 
 
-def _pool_windows(hidden: np.ndarray, strategy: str,
-                  cls: np.ndarray | None) -> np.ndarray:
-    """Pool (N, w, d) window states to (N, d) without touching the tape."""
-    if strategy == "last":
-        return hidden[:, -1, :]
-    if strategy == "mean":
-        return hidden.mean(axis=1)
-    if strategy == "max":
-        return hidden.max(axis=1)
-    if strategy == "first_token":
-        return cls if cls is not None else hidden[:, 0, :]
-    raise ValueError(f"unknown pooling strategy {strategy!r}")
-
-
-def _encode_chunk(encoder, mcc: np.ndarray, amt: np.ndarray,
-                  strategy: str) -> np.ndarray:
-    n, w = mcc.shape
-    if isinstance(encoder, GruEncoder):
-        hidden = encoder.forward(mcc, amt).data
-        return _pool_windows(hidden, strategy, None)
-    hidden, cls_out = encoder.forward(mcc, amt, np.full(n, w, dtype=np.int64))
-    return _pool_windows(hidden.data, strategy, cls_out.data)
-
-
 def sliding_window_embed_many(
     encoder,
     sequences: list[ClientSequence],
@@ -117,9 +92,11 @@ def sliding_window_embed_many(
     if all_mcc:
         mcc = np.stack(all_mcc)
         amt = np.stack(all_amt)
+        lengths = np.full(len(mcc), window, dtype=np.int64)
         for lo in range(0, len(mcc), chunk):
-            rows.append(_encode_chunk(encoder, mcc[lo : lo + chunk],
-                                      amt[lo : lo + chunk], pool))
+            hi = lo + chunk
+            rows.append(embed_pooled(encoder, mcc[lo:hi], amt[lo:hi],
+                                     lengths[lo:hi], pool))
     pooled = np.concatenate(rows) if rows else np.zeros((0, encoder.hidden))
 
     out = []
@@ -137,14 +114,3 @@ def sliding_window_embed_many(
             timestamps=ts,
         ))
     return out
-
-
-def sliding_window_embed(
-    encoder,
-    seq: ClientSequence,
-    window: int = DEFAULT_WINDOW,
-    stride: int = DEFAULT_STRIDE,
-    pool: str = "last",
-) -> WindowEmbeddings:
-    """Window embeddings for a single client."""
-    return sliding_window_embed_many(encoder, [seq], window, stride, pool)[0]

@@ -10,6 +10,8 @@ from .tensor import Tape, Tensor, backward
 
 __all__ = ["grad_check"]
 
+EPS_MACHINE = float(np.finfo(np.float64).eps)
+
 
 def grad_check(
     fn: Callable[..., Tensor],
@@ -21,7 +23,10 @@ def grad_check(
     `fn` maps one Tensor per entry of `points` to a scalar Tensor. The tape
     gradient is compared coordinate-by-coordinate against
     (f(x+eps) - f(x-eps)) / (2 eps). Relative error uses
-    |a - n| / max(|a|, |n|, 1e-6), so a constant function scores 0.
+    |a - n| / max(|a|, |n|, 1e-6), so a constant function scores 0. The part
+    of |a - n| within the difference's own rounding bound,
+    4 eps_machine max(|f(x+eps)|, |f(x-eps)|) / (2 eps), is not counted: a
+    gradient near zero would otherwise fail on rounding alone.
     """
     arrays = [np.asarray(p, dtype=np.float64) for p in points]
     with Tape() as tape:
@@ -47,7 +52,9 @@ def grad_check(
             down = eval_at(arrays)
             flat[j] = orig
             numeric = (up - down) / (2.0 * eps)
-            err = abs(ana[j] - numeric) / max(abs(ana[j]), abs(numeric), 1e-6)
+            rounding = 4.0 * EPS_MACHINE * max(abs(up), abs(down)) / (2.0 * eps)
+            excess = max(abs(ana[j] - numeric) - rounding, 0.0)
+            err = excess / max(abs(ana[j]), abs(numeric), 1e-6)
             if err > worst:
                 worst = err
     return worst

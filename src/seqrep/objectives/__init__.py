@@ -18,7 +18,6 @@ from .models import (
     TrainConfig,
     Ts2VecModel,
     build_model,
-    supervised_forward,
 )
 from .sampling import (
     CorruptionPlan,
@@ -57,7 +56,6 @@ __all__ = [
     "named_grads",
     "normalize_rows",
     "pad_batch",
-    "supervised_forward",
     "train",
     "ts2vec_contexts",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "AeModel",
     "MlmModel",
     "build_model",
-    "supervised_forward",
 ]
 
 OBJECTIVES = ("supervised", "coles", "ts2vec", "ae", "mlm", "ar")
@@ -172,7 +171,7 @@ class SupervisedModel(_GruObjective):
         return batches
 
     def logits_batch(self, mcc, amt, lengths) -> Tensor:
-        hidden = self.encoder.forward(mcc, amt)
+        hidden, _ = self.encoder.forward(mcc, amt)
         pooled = pool_batch(hidden, lengths, self.pool_strategy)
         return self.fc2(relu(self.fc1(pooled)))
 
@@ -183,16 +182,6 @@ class SupervisedModel(_GruObjective):
         onehot[np.arange(n), batch["labels"]] = 1.0
         ls = log_softmax(logits)
         return scalar_multiply(reduce_sum(multiply(ls, Tensor(onehot))), -1.0 / n)
-
-
-def supervised_forward(model: SupervisedModel, seq: ClientSequence) -> np.ndarray:
-    """Class logits for one sequence (inference)."""
-    if seq.mcc_idx is None:
-        raise ValueError(f"client {seq.client_id}: vocabulary not applied")
-    logits = model.logits_batch(
-        seq.mcc_idx[None, :], seq.amounts_t[None, :], np.array([len(seq)])
-    )
-    return logits.data[0]
 
 
 class ColesModel(_GruObjective):
@@ -229,7 +218,7 @@ class ColesModel(_GruObjective):
         return batches
 
     def loss(self, batch: dict) -> Tensor:
-        hidden = self.encoder.forward(batch["mcc"], batch["amt"])
+        hidden, _ = self.encoder.forward(batch["mcc"], batch["amt"])
         pooled = pool_batch(hidden, batch["lengths"], "last")
         pooled = normalize_rows(pooled)
         return contrastive_loss(pooled, batch["ids"], margin=self.cfg.margin)
@@ -284,8 +273,8 @@ class Ts2VecModel(_GruObjective):
         return matmul(Tensor(sel), hidden)
 
     def loss(self, batch: dict) -> Tensor:
-        h1 = self.encoder.forward(batch["mcc1"], batch["amt1"])
-        h2 = self.encoder.forward(batch["mcc2"], batch["amt2"])
+        h1, _ = self.encoder.forward(batch["mcc1"], batch["amt1"])
+        h2, _ = self.encoder.forward(batch["mcc2"], batch["amt2"])
         z1 = self._select_overlap(h1, batch["off1"], batch["t_o"])
         z2 = self._select_overlap(h2, batch["off2"], batch["t_o"])
         return ts2vec_hierarchical_loss(z1, z2, alpha=self.cfg.ts2vec_alpha)
@@ -342,7 +331,7 @@ class ArModel(_GruObjective):
         return total
 
     def loss_with_breakdown(self, batch: dict) -> tuple[Tensor, LossBreakdown]:
-        hidden = self.encoder.forward(batch["mcc"], batch["amt"])
+        hidden, _ = self.encoder.forward(batch["mcc"], batch["amt"])
         logits = self.heads.mcc(hidden)
         amounts = self.heads.amount(hidden)
         return masked_joint_loss(
@@ -385,7 +374,7 @@ class AeModel(_GruObjective):
     def loss_with_breakdown(self, batch: dict) -> tuple[Tensor, LossBreakdown]:
         mcc, amt, lengths = batch["mcc"], batch["amt"], batch["lengths"]
         b, width = mcc.shape
-        hidden = self.encoder.forward(mcc, amt)
+        hidden, _ = self.encoder.forward(mcc, amt)
         pooled = pool_batch(hidden, lengths, "last")
         h0 = self.bridge(pooled)
         # Teacher forcing: the decoder sees the true previous transaction.

@@ -9,10 +9,14 @@ from seqrep.encoders import (
     GruEncoder,
     TransformerEncoder,
     build_encoder,
+    embed_pooled,
     encode_sequence,
     pool_batch,
     pool_global,
+    pool_padded,
 )
+from seqrep.evaluation.protocol import FrozenModel, global_embeddings
+from seqrep.evaluation.windows import sliding_window_embed_many
 from seqrep.nn import Tape, Tensor, backward
 
 
@@ -40,20 +44,21 @@ def txf():
 
 def test_gru_output_shape(gru, rng):
     mcc, amt, _ = batch_inputs(rng)
-    out = gru.forward(mcc, amt)
+    out, cls = gru.forward(mcc, amt)
     assert out.shape == (3, 12, 10)
+    assert cls is None
 
 
 def test_gru_is_causal(gru, rng):
     mcc, amt, _ = batch_inputs(rng)
-    base = gru.forward(mcc, amt).data
+    base, _ = gru.forward(mcc, amt)
     mcc2 = mcc.copy()
     amt2 = amt.copy()
     mcc2[:, 8] = (mcc2[:, 8] % 8) + 1
     amt2[:, 8] += 5.0
-    bumped = gru.forward(mcc2, amt2).data
-    np.testing.assert_array_equal(base[:, :8], bumped[:, :8])
-    assert not np.allclose(base[:, 8:], bumped[:, 8:])
+    bumped, _ = gru.forward(mcc2, amt2)
+    np.testing.assert_array_equal(base.data[:, :8], bumped.data[:, :8])
+    assert not np.allclose(base.data[:, 8:], bumped.data[:, 8:])
 
 
 def test_gru_padding_row_is_zero(gru):
@@ -179,6 +184,69 @@ def test_encode_sequence_and_pool_global(gru, tiny_splits):
         pool_global(hs, "last").vector, hs.vectors[-1], atol=1e-12)
     np.testing.assert_allclose(
         pool_global(hs, "mean").vector, hs.vectors.mean(axis=0), atol=1e-12)
+
+
+def mixed_clients(rng, lengths=(5, 23, 40, 17, 9), n_indices=9):
+    out = []
+    for i, n in enumerate(lengths):
+        mcc_idx = rng.integers(1, n_indices, size=n)
+        out.append(ClientSequence(
+            client_id=f"m{i}",
+            timestamps=np.arange(n, dtype=np.int64) * 60 + 1_600_000_000,
+            mcc=mcc_idx + 4000,
+            amounts=rng.normal(size=n) * 50.0,
+            mcc_idx=mcc_idx,
+        ))
+    return out
+
+
+def piece(seq, lo, hi):
+    return ClientSequence(client_id=seq.client_id, timestamps=seq.timestamps[lo:hi],
+                          mcc=seq.mcc[lo:hi], amounts=seq.amounts[lo:hi],
+                          mcc_idx=seq.mcc_idx[lo:hi])
+
+
+@pytest.mark.parametrize("strategy", POOL_STRATEGIES)
+@pytest.mark.parametrize("arch", ["gru", "transformer"])
+def test_inference_paths_match_single_sequence_reference(arch, strategy, gru, txf, rng):
+    """Global rows, window rows and a pooled slice each equal the sequence
+    encoded alone through encode_sequence + pool_global."""
+    encoder = gru if arch == "gru" else txf
+    clients = mixed_clients(rng)
+
+    def reference(seq):
+        return pool_global(encode_sequence(encoder, seq), strategy).vector
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    rows = global_embeddings(FrozenModel(encoder, strategy), clients, chunk=3)
+    for seq, row in zip(clients, rows):
+        close(row, reference(seq))
+
+    window, stride = 8, 5
+    embs = sliding_window_embed_many(encoder, clients, window, stride, strategy, chunk=4)
+    for seq, emb in zip(clients, embs):
+        assert len(emb) == len(range(window, len(seq) + 1, stride))
+        for end, row in zip(emb.ends, emb.matrix):
+            close(row, reference(piece(seq, end - window, end)))
+
+    seq, lo, hi = clients[2], 7, 26
+    got = embed_pooled(encoder, seq.mcc_idx[None, lo:hi], seq.amounts_t[None, lo:hi],
+                       [hi - lo], strategy)
+    assert got.shape == (1, encoder.hidden)
+    close(got[0], reference(piece(seq, lo, hi)))
+
+
+def test_pool_padded_returns_fresh_rows(rng):
+    hidden = rng.normal(size=(3, 6, 4))
+    lengths = np.array([6, 2, 4])
+    for strategy in POOL_STRATEGIES:
+        out = pool_padded(hidden, lengths, strategy)
+        assert out.shape == (3, 4)
+        assert not np.shares_memory(out, hidden)
+    with pytest.raises(ValueError):
+        pool_padded(hidden, lengths, "middle")
 
 
 def test_build_encoder_dispatches():

@@ -6,7 +6,6 @@ from seqrep.evaluation.heads import (
     MetricReport,
     MlpProbe,
     ProbeConfig,
-    fit_probe,
     n_threads,
     run_seeds,
 )
@@ -22,9 +21,9 @@ def blobs(rng, n=300, d=6, gap=6.0):
 
 def test_probe_learns_separable_data(rng):
     x, y = blobs(rng)
-    probe = fit_probe(x, y, n_classes=2,
-                      config=ProbeConfig(hidden=16, epochs=30, batch_size=32),
-                      seed=0)
+    probe = MlpProbe(x.shape[1], 2,
+                     ProbeConfig(hidden=16, epochs=30, batch_size=32),
+                     seed=0).fit(x, y, seed=0)
     proba = probe.predict_proba(x)
     assert proba.shape == (300, 2)
     np.testing.assert_allclose(proba.sum(axis=1), np.ones(300), rtol=1e-9)
@@ -36,8 +35,8 @@ def test_probe_is_deterministic(rng):
     x, y = blobs(rng, n=120)
 
     def run():
-        p = fit_probe(x, y, n_classes=2,
-                      config=ProbeConfig(hidden=8, epochs=3), seed=7)
+        p = MlpProbe(x.shape[1], 2, ProbeConfig(hidden=8, epochs=3),
+                     seed=7).fit(x, y, seed=7)
         return p.predict_proba(x)
 
     np.testing.assert_array_equal(run(), run())
@@ -45,8 +44,8 @@ def test_probe_is_deterministic(rng):
 
 def test_probe_seed_changes_result(rng):
     x, y = blobs(rng, n=120)
-    a = fit_probe(x, y, 2, ProbeConfig(hidden=8, epochs=1), seed=0)
-    b = fit_probe(x, y, 2, ProbeConfig(hidden=8, epochs=1), seed=1)
+    a = MlpProbe(x.shape[1], 2, ProbeConfig(hidden=8, epochs=1), seed=0).fit(x, y, seed=0)
+    b = MlpProbe(x.shape[1], 2, ProbeConfig(hidden=8, epochs=1), seed=1).fit(x, y, seed=1)
     assert not np.array_equal(a.predict_proba(x), b.predict_proba(x))
 
 
@@ -54,15 +53,14 @@ def test_probe_multiclass_shapes(rng):
     n, d, k = 90, 4, 3
     x = rng.normal(size=(n, d))
     y = rng.integers(0, k, size=n)
-    p = fit_probe(x, y, k, ProbeConfig(hidden=8, epochs=2), seed=0)
+    p = MlpProbe(d, k, ProbeConfig(hidden=8, epochs=2), seed=0).fit(x, y, seed=0)
     assert p.predict_proba(x).shape == (n, k)
 
 
 def test_probe_rejects_bad_labels(rng):
     x = rng.normal(size=(10, 3))
     with pytest.raises(ValueError):
-        fit_probe(x, np.full(10, 5), n_classes=2,
-                  config=ProbeConfig(epochs=1), seed=0)
+        MlpProbe(3, 2, ProbeConfig(epochs=1), seed=0).fit(x, np.full(10, 5), seed=0)
 
 
 def test_metric_report_statistics():

@@ -255,3 +255,33 @@ def test_add_multiply_grads_match_fd(data):
         return T.reduce_sum(T.multiply(T.add(tx, ty), tx))
 
     assert grad_check(fn, [x, y]) < 1e-7
+
+
+def _draw_117():
+    r = np.random.default_rng(117)
+    return r.normal(size=(2, 3)), r.normal(size=(2, 3))
+
+
+def _add_times_x(tx, ty):
+    return T.reduce_sum(T.multiply(T.add(tx, ty), tx))
+
+
+def test_grad_check_near_zero_gradient_within_rounding():
+    """x[0, 0] = -3.8e-5 makes d/dy that small; the central difference's
+    rounding (bound 3.2e-10) exceeds the actual error (4.7e-11), and counted
+    as error it read 1.23e-6 against the 1e-7 tolerance above."""
+    x, y = _draw_117()
+    assert abs(x[0, 0]) < 1e-4
+    assert grad_check(_add_times_x, [x, y]) < 1e-7
+
+
+def test_grad_check_flags_small_wrong_gradient(monkeypatch):
+    """Discounting rounding does not hide an error far above it."""
+    x, y = _draw_117()
+    exact = T._VJP["multiply"]
+
+    def off_by_1e8(g, saved, params, shapes):
+        return tuple(gi + 1e-8 for gi in exact(g, saved, params, shapes))
+
+    monkeypatch.setitem(T._VJP, "multiply", off_by_1e8)
+    assert grad_check(_add_times_x, [x, y]) > 1e-4

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from seqrep.data import ClientSequence
 from seqrep.encoders import EncoderConfig, GruEncoder
 from seqrep.evaluation.windows import (
-    sliding_window_embed,
     sliding_window_embed_many,
     window_ends,
     window_index,
@@ -66,8 +65,8 @@ def seq_of(mcc_idx, cid="w", t0=1_600_000_000):
 
 def test_window_embedding_shapes(encoder, rng):
     seq = seq_of(rng.integers(1, 10, size=50))
-    emb = sliding_window_embed(encoder, seq, window=16, stride=8,
-                               pool="last")
+    emb = sliding_window_embed_many(encoder, [seq], window=16, stride=8,
+                                    pool="last")[0]
     ends = window_ends(50, 16, 8)
     assert emb.matrix.shape == (len(ends), 8)
     np.testing.assert_array_equal(emb.ends, ends)
@@ -79,8 +78,8 @@ def test_window_embedding_depends_on_window_content_only(encoder, rng):
     content = rng.integers(1, 10, size=16)
     a = seq_of(np.concatenate([rng.integers(1, 10, size=24), content]), "a")
     b = seq_of(np.concatenate([rng.integers(1, 10, size=8), content]), "b")
-    ea = sliding_window_embed(encoder, a, window=16, stride=8, pool="last")
-    eb = sliding_window_embed(encoder, b, window=16, stride=8, pool="last")
+    ea = sliding_window_embed_many(encoder, [a], window=16, stride=8, pool="last")[0]
+    eb = sliding_window_embed_many(encoder, [b], window=16, stride=8, pool="last")[0]
     np.testing.assert_allclose(ea.matrix[-1], eb.matrix[-1], atol=1e-12)
 
 
@@ -89,7 +88,7 @@ def test_batched_embed_matches_single(encoder, rng):
             for n in (20, 33, 47, 15)]
     many = sliding_window_embed_many(encoder, seqs, 16, 8, pool="mean")
     for seq, got in zip(seqs, many):
-        solo = sliding_window_embed(encoder, seq, 16, 8, pool="mean")
+        solo = sliding_window_embed_many(encoder, [seq], 16, 8, pool="mean")[0]
         # Different chunkings reorder BLAS sums; equality is to rounding.
         np.testing.assert_allclose(got.matrix, solo.matrix, atol=1e-12)
         np.testing.assert_array_equal(got.ends, solo.ends)
@@ -100,7 +99,7 @@ def test_batched_embed_matches_single(encoder, rng):
 
 
 def test_short_sequence_yields_empty_embedding(encoder):
-    emb = sliding_window_embed(encoder, seq_of(np.array([1, 2, 3])), 16, 8,
-                               "last")
+    emb = sliding_window_embed_many(encoder, [seq_of(np.array([1, 2, 3]))], 16, 8,
+                                    "last")[0]
     assert emb.matrix.shape == (0, 8)
     assert len(emb.ends) == 0
