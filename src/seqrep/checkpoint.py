@@ -116,17 +116,21 @@ def _pack_vocab(vocab: MccVocab) -> bytes:
     return _pack_str("VOCAB") + body
 
 
+def _store_rows(dim: int) -> np.dtype:
+    """One CTXSTORE row: i64 timestamp followed by dim float64 values."""
+    return np.dtype([("t", "<i8"), ("v", "<f8", (dim,))])
+
+
 def _pack_store(store: EmbeddingStore) -> bytes:
     parts = [_pack_str("CTXSTORE"),
              struct.pack("<qq", len(store.series), store.dim)]
+    rows = _store_rows(store.dim)
     for cid in store.client_ids():
         ts, matrix = store.series[cid]
-        parts.append(_pack_str(cid))
-        parts.append(struct.pack("<q", len(ts)))
-        # Each row: i64 timestamp followed by dim float64 values.
-        for i in range(len(ts)):
-            parts.append(struct.pack("<q", int(ts[i])))
-            parts.append(matrix[i].astype("<f8").tobytes())
+        block = np.empty(len(ts), dtype=rows)
+        block["t"] = ts
+        block["v"] = matrix
+        parts += [_pack_str(cid), struct.pack("<q", len(ts)), block.tobytes()]
     return b"".join(parts)
 
 
@@ -200,17 +204,15 @@ def _read_store(r: _Reader) -> EmbeddingStore:
     if n < 0 or dim < 1:
         raise CheckpointFormatError(f"{r.path}: bad context store header ({n}, {dim})")
     store = EmbeddingStore(dim=dim)
+    rows = _store_rows(dim)
     for _ in range(n):
         cid = r.string()
         count = r.i64()
         if count < 0:
             raise CheckpointFormatError(f"{r.path}: negative series length for {cid!r}")
-        ts = np.empty(count, dtype=np.int64)
-        matrix = np.empty((count, dim))
-        for i in range(count):
-            ts[i] = r.i64()
-            matrix[i] = np.frombuffer(r.take(8 * dim), dtype="<f8")
-        store.add_series(cid, ts, matrix)
+        block = np.frombuffer(r.take(count * rows.itemsize), dtype=rows)
+        store.add_series(cid, block["t"].astype(np.int64),
+                         block["v"].astype(np.float64))
     return store
 
 

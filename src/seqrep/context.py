@@ -1,13 +1,17 @@
 """Cross-client context: embedding store, queries, and aggregation.
 
-A store holds a time-stamped embedding series per client. A query at time t
-collects, from every other client, the latest embedding strictly before t;
-the result is aggregated into one context vector by simple pooling or by
-attention against the querying client's own embedding. Aggregation weights
-always sum to one, so a context of identical vectors reduces to that vector
-under every method. Clients with no usable context get a zero vector and a
-raised fallback flag, and the augmented representation is the concatenation
-of the client's own embedding with the context vector.
+A store holds a time-stamped embedding series per client. A lookup answers a
+whole block of query times at once: for every time, each store client's
+latest embedding strictly before it, with a mask that is False where a
+client has no earlier row and in the querying client's own column. The
+valid candidates are aggregated into one context vector by simple pooling
+or by attention against the querying client's own embedding, with masked
+candidates left out. Aggregation weights always sum to one, so a context of
+identical vectors reduces to that vector under every method. A row with no
+valid candidate gets a zero vector, and the augmented representation is the
+concatenation of the client's own embedding with the context vector. The
+augmenters walk their rows in chunks whose candidates fit a fixed byte
+budget, so memory stays bounded however many rows are augmented.
 """
 
 from __future__ import annotations
@@ -25,17 +29,22 @@ from .evaluation.windows import (
     WindowEmbeddings,
     sliding_window_embed_many,
 )
-from .nn import Adam, Tape, Tensor, backward, concat, matmul, reshape, softmax, softmax_op
+from .nn import (Adam, Tape, Tensor, add, backward, concat, matmul, multiply, reshape,
+                 softmax_op, transpose)
 from .objectives.losses import contrastive_loss, normalize_rows
 from .objectives.sampling import coles_sample_subsequences, pad_batch
 
 __all__ = [
     "AGGREGATION_METHODS",
+    "CHUNK_BYTES",
     "DEFAULT_STORE_SIZE",
     "ContextVector",
     "EmbeddingStore",
     "build_store",
+    "aggregate_many",
     "aggregate_context",
+    "attention_loss",
+    "chunk_rows",
     "augment_embedding",
     "window_augmenter",
     "global_augmenter",
@@ -44,6 +53,9 @@ __all__ = [
 
 AGGREGATION_METHODS = ("mean", "max", "attention", "learnable")
 DEFAULT_STORE_SIZE = 500
+# Byte budget of one chunk's candidates, chunk x store clients x d float64:
+# it bounds the augmenters' memory whatever the number of rows.
+CHUNK_BYTES = 4 << 20
 
 
 @dataclass
@@ -57,10 +69,18 @@ class ContextVector:
 
 @dataclass
 class EmbeddingStore:
-    """Per-client embedding series, each sorted by timestamp."""
+    """Per-client embedding series, each sorted by timestamp.
+
+    `series` is the source of truth. Lookups read a padded copy of it, built
+    on the first lookup and dropped by `add_series`: client ids in sorted
+    order, times (C, Lmax) padded with the largest int64, and rows
+    (C, Lmax + 1, d) whose slot 0 is a zero row and slot i + 1 holds row i.
+    """
 
     dim: int
     series: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    _cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.series)
@@ -89,42 +109,53 @@ class EmbeddingStore:
         if client_id in self.series:
             raise ValueError(f"client {client_id}: series already present")
         self.series[client_id] = (timestamps, matrix)
+        self._cache = None
+
+    def _padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids (C,), times (C, Lmax), rows (C, Lmax + 1, d)), cached."""
+        if self._cache is None:
+            ids = self.client_ids()
+            lmax = max((len(self.series[c][0]) for c in ids), default=0)
+            times = np.full((len(ids), lmax), np.iinfo(np.int64).max)
+            rows = np.zeros((len(ids), lmax + 1, self.dim))
+            for k, cid in enumerate(ids):
+                ts, matrix = self.series[cid]
+                times[k, : len(ts)] = ts
+                rows[k, 1 : len(ts) + 1] = matrix
+            self._cache = (np.array(ids, dtype=str), times, rows)
+        return self._cache
 
     def query(self, t: int, exclude: Optional[str] = None) -> np.ndarray:
         """Latest embedding strictly before t from every other client.
 
-        Rows are ordered by client id, so the result is reproducible. Clients
-        with no embedding before t contribute nothing; the result may have
-        zero rows.
+        Rows are ordered by client id; the result may have zero rows.
         """
-        rows = []
-        for cid in self.client_ids():
-            if cid == exclude:
-                continue
-            ts, matrix = self.series[cid]
-            i = int(np.searchsorted(ts, t, side="left")) - 1
-            if i >= 0:
-                rows.append(matrix[i])
-        if not rows:
-            return np.zeros((0, self.dim))
-        return np.stack(rows)
+        x, valid = self.query_many(np.array([t]), exclude)
+        return x[0, valid[0]]
 
-    def query_many(self, times: np.ndarray, exclude: Optional[str] = None,
-                   ) -> list[np.ndarray]:
-        """`query` for a whole array of times with one pass per store client."""
+    def query_many(self, times: np.ndarray,
+                   exclude: Optional[str | np.ndarray] = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Every store client's latest row strictly before each time.
+
+        `exclude` is one client id, or one per time, whose column is masked.
+        Returns x (n, C, d), columns in client-id order, and valid (n, C),
+        False where a client has no row before the time or is excluded;
+        x is zero wherever valid is False.
+        """
         times = np.asarray(times, dtype=np.int64)
-        picked: list[tuple[np.ndarray, np.ndarray]] = []
-        for cid in self.client_ids():
-            if cid == exclude:
-                continue
-            ts, matrix = self.series[cid]
-            idx = np.searchsorted(ts, times, side="left") - 1
-            picked.append((idx, matrix))
-        out = []
-        for j in range(len(times)):
-            rows = [m[ix[j]] for ix, m in picked if ix[j] >= 0]
-            out.append(np.stack(rows) if rows else np.zeros((0, self.dim)))
-        return out
+        ids, ts, rows = self._padded()
+        # Rows of client k strictly before t: slot searchsorted(ts[k], t), so
+        # a client with none lands on its zero slot 0.
+        slot = np.empty((len(times), len(ids)), dtype=np.int64)
+        for k in range(len(ids)):
+            slot[:, k] = np.searchsorted(ts[k], times, side="left")
+        if exclude is not None and len(ids):
+            exclude = np.broadcast_to(np.asarray(exclude, dtype=str), times.shape)
+            col = np.minimum(np.searchsorted(ids, exclude), len(ids) - 1)
+            hit = np.nonzero(ids[col] == exclude)[0]
+            slot[hit, col[hit]] = 0
+        return rows[np.arange(len(ids)), slot], slot > 0
 
 
 def build_store(model, clients: Sequence[ClientSequence],
@@ -152,47 +183,64 @@ def build_store(model, clients: Sequence[ClientSequence],
     return store
 
 
-def _attention_weights(x: np.ndarray, h: np.ndarray,
-                       a: Optional[np.ndarray]) -> np.ndarray:
-    scores = x @ h if a is None else x @ (a @ h)
-    return softmax(scores[None, :])[0]
+def chunk_rows(n_clients: int, dim: int, chunk_bytes: int) -> int:
+    """Rows per chunk so that chunk x n_clients x dim float64 fit the budget."""
+    return max(1, chunk_bytes // max(1, 8 * n_clients * dim))
 
 
-def aggregate_context(x: np.ndarray, h: np.ndarray, method: str = "mean",
-                      a: Optional[np.ndarray] = None) -> ContextVector:
-    """Collapse candidate rows x (m, d) into one context vector.
+def aggregate_many(x: np.ndarray, valid: np.ndarray, h: np.ndarray,
+                   method: str = "mean", a: Optional[np.ndarray] = None,
+                   ) -> np.ndarray:
+    """Collapse each row's valid candidates x (n, C, d) into one context (n, d).
 
-    `attention` weighs rows by softmax(x h); `learnable` inserts a square
-    matrix into the score, softmax(x A h), and reduces to plain attention
-    when A is the identity. Mean and max ignore h.
+    `attention` weighs the valid candidates by softmax(x h); `learnable`
+    inserts a square matrix into the score, softmax(x A h), and reduces to
+    plain attention when A is the identity. Mean and max ignore h. Masked
+    candidates are left out (they must still be finite), and a row with no
+    valid candidate gets a zero vector.
     """
     if method not in AGGREGATION_METHODS:
         raise ValueError(f"unknown aggregation {method!r}; "
                          f"expected one of {AGGREGATION_METHODS}")
     x = np.asarray(x, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
     h = np.asarray(h, dtype=np.float64)
+    if x.ndim != 3 or valid.shape != x.shape[:2]:
+        raise ValueError(f"context rows must be (n, C, d) with an (n, C) mask, "
+                         f"got {x.shape} and {valid.shape}")
+    n, _, d = x.shape
+    if h.shape != (n, d):
+        raise ValueError(f"own embedding shape {h.shape} does not match "
+                         f"context width {d}")
+    if method == "learnable":
+        if a is None:
+            raise ValueError("learnable aggregation needs the matrix a")
+        if a.shape != (d, d):
+            raise ValueError(f"expected ({d}, {d}) matrix, got {a.shape}")
+    count = valid.sum(axis=1, keepdims=True)
+    if method == "max":
+        top = np.where(valid[:, :, None], x, -np.inf).max(axis=1, initial=-np.inf)
+        return np.where(count > 0, top, 0.0)
+    if method == "mean":
+        w = valid / np.maximum(count, 1)
+    else:
+        q = h if method == "attention" else h @ a.T
+        scores = np.where(valid, np.einsum("ncd,nd->nc", x, q), -np.inf)
+        top = scores.max(axis=1, keepdims=True, initial=-np.inf)
+        w = np.exp(scores - np.where(count > 0, top, 0.0))
+        w /= np.maximum(w.sum(axis=1, keepdims=True), np.finfo(np.float64).tiny)
+    return np.einsum("nc,ncd->nd", w, x)
+
+
+def aggregate_context(x: np.ndarray, h: np.ndarray, method: str = "mean",
+                      a: Optional[np.ndarray] = None) -> ContextVector:
+    """`aggregate_many` for one row's candidates x (m, d)."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"context rows must be (m, d), got {x.shape}")
-    if h.shape != (x.shape[1],) and x.shape[1] > 0:
-        raise ValueError(f"own embedding shape {h.shape} does not match "
-                         f"context width {x.shape[1]}")
-    m, d = x.shape
-    if m == 0:
-        return ContextVector(vector=np.zeros(max(d, len(h))), fallback=True,
-                             n_sources=0)
-    if method == "mean":
-        vec = x.mean(axis=0)
-    elif method == "max":
-        vec = x.max(axis=0)
-    else:
-        if method == "learnable":
-            if a is None:
-                raise ValueError("learnable aggregation needs the matrix a")
-            if a.shape != (d, d):
-                raise ValueError(f"expected ({d}, {d}) matrix, got {a.shape}")
-        weights = _attention_weights(x, h, a if method == "learnable" else None)
-        vec = weights @ x
-    return ContextVector(vector=vec, fallback=False, n_sources=m)
+    vec = aggregate_many(x[None], np.ones((1, len(x)), dtype=bool),
+                         np.asarray(h, dtype=np.float64)[None], method, a)[0]
+    return ContextVector(vector=vec, fallback=len(x) == 0, n_sources=len(x))
 
 
 def augment_embedding(h: np.ndarray, ctx: ContextVector) -> np.ndarray:
@@ -200,26 +248,34 @@ def augment_embedding(h: np.ndarray, ctx: ContextVector) -> np.ndarray:
     return np.concatenate([np.asarray(h, dtype=np.float64), ctx.vector])
 
 
+def _augment_rows(store: EmbeddingStore, h: np.ndarray, times: np.ndarray,
+                  exclude: np.ndarray, method: str,
+                  a: Optional[np.ndarray]) -> np.ndarray:
+    """[h | context] for a block of rows, looked up and aggregated in chunks."""
+    step = chunk_rows(len(store), store.dim, CHUNK_BYTES)
+    ctx = np.zeros((len(h), store.dim))
+    for lo in range(0, len(h), step):
+        part = slice(lo, lo + step)
+        x, valid = store.query_many(times[part], exclude[part])
+        ctx[part] = aggregate_many(x, valid, h[part], method, a)
+    return np.concatenate([h, ctx], axis=1)
+
+
 def window_augmenter(store: EmbeddingStore, method: str = "mean",
                      a: Optional[np.ndarray] = None):
     """Augment hook for window evaluations: concat each row with context."""
 
     def apply(embs: list[WindowEmbeddings]) -> list[WindowEmbeddings]:
-        out = []
-        for emb in embs:
-            if len(emb) == 0:
-                out.append(replace(emb, matrix=np.zeros((0, 2 * store.dim))))
-                continue
-            contexts = store.query_many(emb.timestamps, exclude=emb.client_id)
-            rows = [
-                augment_embedding(
-                    emb.matrix[j],
-                    aggregate_context(contexts[j], emb.matrix[j], method, a),
-                )
-                for j in range(len(emb))
-            ]
-            out.append(replace(emb, matrix=np.stack(rows)))
-        return out
+        sizes = [len(emb) for emb in embs]
+        if sum(sizes) == 0:
+            return [replace(emb, matrix=np.zeros((0, 2 * store.dim))) for emb in embs]
+        rows = _augment_rows(
+            store, np.concatenate([emb.matrix for emb in embs if len(emb)]),
+            np.concatenate([emb.timestamps for emb in embs]),
+            np.repeat([emb.client_id for emb in embs], sizes),
+            method, a)
+        parts = np.split(rows, np.cumsum(sizes)[:-1])
+        return [replace(emb, matrix=part) for emb, part in zip(embs, parts)]
 
     return apply
 
@@ -229,13 +285,38 @@ def global_augmenter(store: EmbeddingStore, method: str = "mean",
     """Augment hook for the global task: context at each client's last time."""
 
     def apply(clients: Sequence[ClientSequence], matrix: np.ndarray) -> np.ndarray:
-        rows = []
-        for seq, h in zip(clients, matrix):
-            x = store.query(int(seq.timestamps[-1]), exclude=seq.client_id)
-            rows.append(augment_embedding(h, aggregate_context(x, h, method, a)))
-        return np.stack(rows)
+        return _augment_rows(
+            store, np.asarray(matrix, dtype=np.float64),
+            np.array([seq.timestamps[-1] for seq in clients], dtype=np.int64),
+            np.array([seq.client_id for seq in clients], dtype=str),
+            method, a)
 
     return apply
+
+
+# Additive score bias of a masked-out candidate: exp underflows to exactly
+# zero, and unlike -inf it passes the tape's finiteness check.
+MASK_BIAS = -1e30
+
+
+def attention_loss(a: Tensor, own: np.ndarray, x: np.ndarray, valid: np.ndarray,
+                   ids: np.ndarray, margin: float = 0.5) -> Tensor:
+    """Contrastive loss of [own | softmax(x A own) x] over a batch, on the tape.
+
+    own (B, d) are the samples' embeddings, x (B, C, d) and valid (B, C)
+    their candidates from `EmbeddingStore.query_many`. A sample with no
+    valid candidate gets a zero context, as in `aggregate_many`.
+    """
+    b, c, d = x.shape
+    xt = Tensor(x)
+    q = reshape(matmul(Tensor(own), transpose(a)), (b, d, 1))
+    scores = add(reshape(matmul(xt, q), (b, c)),
+                 Tensor(np.where(valid, 0.0, MASK_BIAS)))
+    weights = reshape(softmax_op(scores), (b, 1, c))
+    ctx = multiply(reshape(matmul(weights, xt), (b, d)),
+                   Tensor(valid.any(axis=1, keepdims=True).astype(np.float64)))
+    augmented = concat([Tensor(own), ctx], axis=1)
+    return contrastive_loss(normalize_rows(augmented), ids, margin=margin)
 
 
 def train_attention_matrix(model, store: EmbeddingStore,
@@ -252,6 +333,8 @@ def train_attention_matrix(model, store: EmbeddingStore,
     slice embeddings of one client stay close while different clients repel.
     Returns the fitted matrix and the per-epoch mean loss.
     """
+    if len(store) == 0:
+        raise ValueError("empty store: no context to fit the attention matrix on")
     d = store.dim
     rng = np.random.default_rng((seed, 37))
     a = Tensor(np.eye(d) + 0.01 * rng.normal(size=(d, d)), requires_grad=True)
@@ -266,31 +349,18 @@ def train_attention_matrix(model, store: EmbeddingStore,
                 subset, n_slices=n_slices, length_range=length_range, seed=rng)
             if len({s.client_index for s in samples}) < 2:
                 continue
-            own, ctxs, ids = [], [], []
-            for s in samples:
-                seq = subset[s.client_index]
-                if seq.mcc_idx is None:
-                    raise ValueError(f"client {seq.client_id}: vocabulary not applied")
-                part = [(seq.mcc_idx[s.start : s.end], seq.amounts_t[s.start : s.end])]
-                own.append(embed_pooled(model.encoder, *pad_batch(part),
-                                        model.pool_strategy)[0])
-                t = int(seq.timestamps[s.end - 1])
-                ctxs.append(store.query(t, exclude=seq.client_id))
-                ids.append(seq.client_id)
+            seqs = [subset[s.client_index] for s in samples]
+            if any(seq.mcc_idx is None for seq in seqs):
+                raise ValueError("vocabulary not applied to every client")
+            own = embed_pooled(model.encoder, *pad_batch([
+                (seq.mcc_idx[s.start : s.end], seq.amounts_t[s.start : s.end])
+                for seq, s in zip(seqs, samples)]), model.pool_strategy)
+            ids = np.array([seq.client_id for seq in seqs], dtype=str)
+            x, valid = store.query_many(
+                np.array([seq.timestamps[s.end - 1] for seq, s in zip(seqs, samples)]),
+                ids)
             with Tape() as tape:
-                rows = []
-                h_own = Tensor(np.stack(own))
-                for h, x in zip(own, ctxs):
-                    if len(x) == 0:
-                        rows.append(Tensor(np.zeros((1, d))))
-                        continue
-                    scores = matmul(Tensor(x[None, :, :]),
-                                    reshape(matmul(a, Tensor(h[:, None])), (1, d, 1)))
-                    weights = softmax_op(reshape(scores, (1, len(x))))
-                    rows.append(matmul(weights, Tensor(x)))
-                augmented = concat([h_own, concat(rows, axis=0)], axis=1)
-                loss = contrastive_loss(normalize_rows(augmented),
-                                        np.array(ids), margin=margin)
+                loss = attention_loss(a, own, x, valid, ids, margin)
             grads = backward(tape, loss)
             nid = a.maybe_node_id(tape)
             g = grads.get(nid) if nid is not None else None

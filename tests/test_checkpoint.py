@@ -18,8 +18,10 @@ from seqrep.checkpoint import (
     save_model,
 )
 from seqrep.config import make_encoder_config, make_train_config
-from seqrep.context import EmbeddingStore
+from seqrep.context import EmbeddingStore, global_augmenter, window_augmenter
+from seqrep.data.types import ClientSequence
 from seqrep.data.types import MccVocab
+from seqrep.evaluation.windows import WindowEmbeddings
 from seqrep.objectives.models import build_model
 
 DIGEST = "d" * 64
@@ -63,6 +65,45 @@ def test_meta_vocab_store_round_trip(tmp_path):
         ts2, mat2 = ckpt.store.series[cid]
         np.testing.assert_array_equal(ts, ts2)
         np.testing.assert_array_equal(mat, mat2)
+
+
+def test_store_section_bytes_match_the_row_by_row_layout(tmp_path, rng):
+    dim = 3
+    store = EmbeddingStore(dim=dim)
+    store.add_series("z9", np.array([-4, 2, 2, 10]), rng.normal(size=(4, dim)))
+    store.add_series("a1", np.array([7]), rng.normal(size=(1, dim)))
+    store.add_series("m\u00e9", np.array([0, 2**40]), rng.normal(size=(2, dim)))
+    path = tmp_path / "store.ckpt"
+    save_checkpoint(path, DIGEST, store=store)
+
+    def text(s):
+        raw = s.encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    want = MAGIC + struct.pack("<I", VERSION) + text(DIGEST) + text("CTXSTORE")
+    want += struct.pack("<qq", 3, dim)
+    for cid in sorted(store.series):
+        ts, matrix = store.series[cid]
+        want += text(cid) + struct.pack("<q", len(ts))
+        for t, row in zip(ts, matrix):
+            want += struct.pack("<q", int(t)) + struct.pack(f"<{dim}d", *row)
+    assert path.read_bytes() == want
+
+    loaded = load_checkpoint(path).store
+    embs = [WindowEmbeddings(client_id=cid, matrix=rng.normal(size=(5, dim)),
+                             ends=np.arange(1, 6), timestamps=np.array([-5, 2, 3, 8, 99]))
+            for cid in ("a1", "z9", "new")]
+    clients = [ClientSequence(e.client_id, e.timestamps, np.zeros(5), np.zeros(5))
+               for e in embs]
+    own = rng.normal(size=(len(clients), dim))
+    a = rng.normal(size=(dim, dim))
+    for method in ("mean", "max", "attention", "learnable"):
+        m = a if method == "learnable" else None
+        for x, y in zip(window_augmenter(store, method, m)(embs),
+                        window_augmenter(loaded, method, m)(embs)):
+            np.testing.assert_array_equal(x.matrix, y.matrix)
+        np.testing.assert_array_equal(global_augmenter(store, method, m)(clients, own),
+                                      global_augmenter(loaded, method, m)(clients, own))
 
 
 def test_reserved_tensor_names_rejected(tmp_path):
