@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Ablate cross-client context aggregation on the local-binary task.
 
-Trains one encoder, builds the embedding store, then scores the local
-probe without context and with each aggregation method. The learnable
-method fits its attention matrix on the frozen encoder first.
+Trains one encoder, builds the embedding store, embeds the train and test
+windows once, then scores the local probe on them without context and
+widened by each aggregation method. The learnable method fits its attention
+matrix on the frozen encoder first.
 
     python3 scripts/run_context_ablation.py --methods mean,max,attention \
         --out context_ablation.json
@@ -15,7 +16,11 @@ import time
 
 from seqrep.config import load_config, make_probe_config
 from seqrep.context import build_store, train_attention_matrix, window_augmenter
-from seqrep.evaluation.protocol import eval_local_binary
+from seqrep.evaluation.protocol import (
+    EmbeddedSplits,
+    eval_local_binary,
+    local_window_dataset,
+)
 from seqrep.pipeline import load_dataset, prepare_splits, train_model
 from seqrep.report import write_report
 
@@ -49,11 +54,13 @@ def main() -> int:
                         max_clients=cfg.get("context.store_size"),
                         window=window, stride=stride, seed=args.seed)
 
-    def score(augment=None) -> dict:
-        return eval_local_binary(model, splits.train, splits.test,
-                                 window=window, stride=stride,
-                                 probe_cfg=probe_cfg, seed=args.seed,
-                                 augment=augment)
+    emb = EmbeddedSplits(model, splits.train, splits.val, splits.test,
+                         window, stride)
+
+    def score(augment=lambda windows: windows) -> dict:
+        fit, test = (local_window_dataset(emb.clients[s], augment(emb.windows(s)))
+                     for s in ("train", "test"))
+        return eval_local_binary(fit, test, probe_cfg, seed=args.seed)
 
     rows = {"none": score()}
     for method in methods:

@@ -22,7 +22,6 @@ __all__ = [
     "TapeError",
     "apply_primitive",
     "backward",
-    "replay",
     "softmax",
     "add",
     "subtract",
@@ -193,7 +192,7 @@ def _as_tensor(x) -> Tensor:
 
 @dataclass
 class Record:
-    """One applied primitive: enough to replay forward and run the adjoint."""
+    """One applied primitive: enough to run its adjoint."""
 
     op: str
     input_ids: tuple[int, ...]
@@ -331,16 +330,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
             g = np.zeros_like(tape.leaf_values[nid])
         out[nid] = g
     return out
-
-
-def replay(tape: Tape) -> dict[int, np.ndarray]:
-    """Recompute every recorded output from leaf values, in record order."""
-    values: dict[int, np.ndarray] = dict(tape.leaf_values)
-    for rec in tape.records:
-        arrays = tuple(values[i] for i in rec.input_ids)
-        out, _ = _FORWARD[rec.op](rec.params, *arrays)
-        values[rec.output_id] = out
-    return {rec.output_id: values[rec.output_id] for rec in tape.records}
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

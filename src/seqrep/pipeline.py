@@ -48,6 +48,7 @@ from .evaluation.cpd import (
 )
 from .evaluation.heads import MetricReport, run_seeds
 from .evaluation.protocol import (
+    EmbeddedSplits,
     eval_global,
     eval_local_binary,
     eval_next_mcc,
@@ -173,6 +174,44 @@ def build_context(cfg: Config, model, splits: Splits,
     return store, attention
 
 
+# Every probe task, in report order; "_context" tasks need a store.
+TASKS = ("global", "local_binary", "next_mcc", "global_context",
+         "local_binary_context")
+
+
+def _score(task: str, fit, test, n_codes: int, probe_cfg, seed: int) -> dict:
+    base = task.removesuffix("_context")
+    if base == "global":
+        return eval_global(fit, test, probe_cfg, seed)
+    if base == "local_binary":
+        return eval_local_binary(fit, test, probe_cfg, seed)
+    return eval_next_mcc(fit, test, n_codes, probe_cfg, seed)
+
+
+def _probe_tasks(emb: EmbeddedSplits, tasks: Sequence[str], n_codes: int,
+                 probe_cfg, seeds: Sequence[int],
+                 ) -> tuple[dict[str, MetricReport], dict[str, float], float]:
+    """Each task's matrices built once from `emb`, then one probe per seed.
+
+    Returns the reports, the probe seconds per task, and the seconds spent
+    embedding and assembling the matrices.
+    """
+    results: dict[str, MetricReport] = {}
+    seconds: dict[str, float] = {}
+    embed_seconds = 0.0
+    for task in tasks:
+        t0 = time.perf_counter()
+        fit, test = emb.datasets(task, n_codes)
+        t1 = time.perf_counter()
+        results[task] = run_seeds(
+            lambda s: _score(task, fit, test, n_codes, probe_cfg, s), seeds)
+        seconds[task] = time.perf_counter() - t1
+        embed_seconds += t1 - t0
+        logger.info("task %s: %s", task,
+                    {k: round(v, 4) for k, v in results[task].mean().items()})
+    return results, seconds, embed_seconds
+
+
 def evaluate_model(cfg: Config, model, splits: Splits, base_seed: int = 0,
                    store: Optional[EmbeddingStore] = None,
                    attention: Optional[np.ndarray] = None,
@@ -180,8 +219,9 @@ def evaluate_model(cfg: Config, model, splits: Splits, base_seed: int = 0,
                    ) -> tuple[dict, dict]:
     """Probe the frozen model on every applicable task.
 
-    Seeds vary the probes while the embeddings stay fixed. Returns the
-    report payload and a wall-time sidecar dict.
+    Each split is embedded once per call; seeds vary only the probes. Returns
+    the report payload and a wall-time sidecar: probe seconds per task under
+    "seconds", embedding and matrix assembly under "embed_seconds".
     """
     probe_cfg = make_probe_config(cfg)
     window = cfg.get("eval.window")
@@ -192,43 +232,20 @@ def evaluate_model(cfg: Config, model, splits: Splits, base_seed: int = 0,
 
     has_global = all(c.global_label is not None for c in splits.all_clients)
     has_local = all(c.local_labels is not None for c in splits.all_clients)
-    wanted = set(tasks) if tasks is not None else None
+    wanted = set(tasks) if tasks is not None else set(TASKS)
+    chosen = [t for t in TASKS if t in wanted
+              and (has_global or not t.startswith("global"))
+              and (has_local or not t.startswith("local"))
+              and (store is not None or not t.endswith("_context"))]
 
-    results: dict[str, MetricReport] = {}
-    timings: dict[str, float] = {}
-
-    def run_task(name: str, fn) -> None:
-        if wanted is not None and name not in wanted:
-            return
-        t0 = time.perf_counter()
-        results[name] = run_seeds(fn, seeds)
-        timings[name] = time.perf_counter() - t0
-        logger.info("task %s: %s", name,
-                    {k: round(v, 4) for k, v in results[name].mean().items()})
-
-    if has_global:
-        run_task("global", lambda s: eval_global(
-            model, splits.train, splits.val, splits.test,
-            probe_cfg=probe_cfg, seed=s))
-    if has_local:
-        run_task("local_binary", lambda s: eval_local_binary(
-            model, splits.train, splits.test, window=window, stride=stride,
-            probe_cfg=probe_cfg, seed=s))
-    run_task("next_mcc", lambda s: eval_next_mcc(
-        model, splits.train, splits.test, splits.vocab.k,
-        window=window, stride=stride, probe_cfg=probe_cfg, seed=s))
-
+    win_aug = glob_aug = None
     if store is not None:
         win_aug = window_augmenter(store, method, attention)
         glob_aug = global_augmenter(store, method, attention)
-        if has_global:
-            run_task("global_context", lambda s: eval_global(
-                model, splits.train, splits.val, splits.test,
-                probe_cfg=probe_cfg, seed=s, augment=glob_aug))
-        if has_local:
-            run_task("local_binary_context", lambda s: eval_local_binary(
-                model, splits.train, splits.test, window=window, stride=stride,
-                probe_cfg=probe_cfg, seed=s, augment=win_aug))
+    emb = EmbeddedSplits(model, splits.train, splits.val, splits.test,
+                         window, stride, win_aug, glob_aug)
+    results, seconds, embed_seconds = _probe_tasks(
+        emb, chosen, splits.vocab.k, probe_cfg, seeds)
 
     payload = {
         "objective": getattr(model, "objective", "unknown"),
@@ -239,7 +256,7 @@ def evaluate_model(cfg: Config, model, splits: Splits, base_seed: int = 0,
         "context_method": method if store is not None else None,
         "tasks": {name: rep.summary() for name, rep in results.items()},
     }
-    return payload, {"seconds": timings}
+    return payload, {"seconds": seconds, "embed_seconds": embed_seconds}
 
 
 def cpd_analysis(cfg: Config, model, clients: Sequence[ClientSequence],
@@ -369,7 +386,8 @@ def compare_objectives(cfg: Config, splits: Splits,
     """Retrain each objective per seed and probe the named tasks.
 
     The heavyweight comparison: the encoder is retrained for every
-    (objective, seed) pair, so seed variance covers pretraining too.
+    (objective, seed) pair, so seed variance covers pretraining too. Each
+    trained model's splits are embedded once for all its tasks.
     """
     probe_cfg = make_probe_config(cfg)
     window = cfg.get("eval.window")
@@ -378,20 +396,12 @@ def compare_objectives(cfg: Config, splits: Splits,
     for obj in objectives:
         reports = {t: MetricReport() for t in tasks}
         for seed in seeds:
-            result = train_model(cfg, splits, seed=seed, objective=obj)
-            model = result.model
-            if "global" in tasks:
-                reports["global"].add(seed, eval_global(
-                    model, splits.train, splits.val, splits.test,
-                    probe_cfg=probe_cfg, seed=seed))
-            if "local_binary" in tasks:
-                reports["local_binary"].add(seed, eval_local_binary(
-                    model, splits.train, splits.test, window=window,
-                    stride=stride, probe_cfg=probe_cfg, seed=seed))
-            if "next_mcc" in tasks:
-                reports["next_mcc"].add(seed, eval_next_mcc(
-                    model, splits.train, splits.test, splits.vocab.k,
-                    window=window, stride=stride, probe_cfg=probe_cfg,
-                    seed=seed))
+            model = train_model(cfg, splits, seed=seed, objective=obj).model
+            emb = EmbeddedSplits(model, splits.train, splits.val, splits.test,
+                                 window, stride)
+            done, _, _ = _probe_tasks(emb, tasks, splits.vocab.k, probe_cfg,
+                                      [seed])
+            for t in tasks:
+                reports[t].add(seed, done[t].per_seed[seed])
         out[obj] = reports
     return out

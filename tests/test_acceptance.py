@@ -29,7 +29,7 @@ from seqrep.data.types import transform_amount
 from seqrep.encoders import EncoderConfig, TransformerEncoder, gru_cell
 from seqrep.evaluation.cpd import detect_change_point
 from seqrep.evaluation.metrics import accuracy, pr_auc, roc_auc
-from seqrep.evaluation.protocol import eval_local_binary
+from seqrep.evaluation.protocol import EmbeddedSplits, eval_local_binary
 from seqrep.nn import (
     Adam,
     Tape,
@@ -442,11 +442,12 @@ def test_06_context_gain():
     for seed in (0, 1, 2):
         model = train_model(cfg, splits, seed=seed, objective="ar").model
         store = build_store(model, splits.train, max_clients=400, seed=seed)
-        aug = window_augmenter(store, method="mean")
-        base = eval_local_binary(model, splits.train, splits.test,
+        emb = EmbeddedSplits(model, splits.train, splits.val, splits.test,
+                             window_augment=window_augmenter(store, method="mean"))
+        base = eval_local_binary(*emb.datasets("local_binary"),
                                  probe_cfg=probe_cfg, seed=seed)
-        ctx = eval_local_binary(model, splits.train, splits.test,
-                                probe_cfg=probe_cfg, seed=seed, augment=aug)
+        ctx = eval_local_binary(*emb.datasets("local_binary_context"),
+                                probe_cfg=probe_cfg, seed=seed)
         gains.append(ctx["roc_auc"] - base["roc_auc"])
 
     mean_gain = float(np.mean(gains))

@@ -19,7 +19,7 @@ from seqrep.context import (
 from seqrep.data.types import ClientSequence
 from seqrep.encoders import build_encoder, embed_pooled
 from seqrep.evaluation.protocol import FrozenModel, local_window_dataset
-from seqrep.evaluation.windows import WindowEmbeddings
+from seqrep.evaluation.windows import WindowEmbeddings, sliding_window_embed_many
 from seqrep.nn import (Adam, Tape, Tensor, backward, concat, grad_check, matmul,
                        reshape, softmax_op)
 from seqrep.objectives.losses import contrastive_loss, normalize_rows
@@ -168,15 +168,16 @@ def test_window_augmenter_widens_and_excludes_self(frozen, tiny_clients):
     clients = [c for c in tiny_clients if len(c) >= 16][:6]
     store = build_store(frozen, clients[:1], max_clients=1, window=16, stride=8)
     aug = window_augmenter(store, method="mean")
-    xs, _ = local_window_dataset(frozen, clients[:1], window=16, stride=8,
-                                 augment=aug)
+    embs = sliding_window_embed_many(frozen.encoder, clients[:1], 16, 8,
+                                     frozen.pool_strategy)
+    xs, _ = local_window_dataset(clients[:1], aug(embs))
     # The only store client is the query client, so every context falls back.
     assert xs.shape[1] == 2 * store.dim
     np.testing.assert_array_equal(xs[:, store.dim:], 0.0)
 
     wide_store = build_store(frozen, clients, max_clients=6, window=16, stride=8)
-    xs2, _ = local_window_dataset(frozen, clients[:1], window=16, stride=8,
-                                  augment=window_augmenter(wide_store, "mean"))
+    xs2, _ = local_window_dataset(clients[:1],
+                                  window_augmenter(wide_store, "mean")(embs))
     assert np.any(xs2[:, store.dim:] != 0.0)
 
 

@@ -10,7 +10,17 @@ from seqrep.data.ingest import (
     write_local_labels_csv,
     write_transactions_csv,
 )
+import seqrep.evaluation.protocol as protocol
+from seqrep.config import make_probe_config
+from seqrep.context import global_augmenter, window_augmenter
 from seqrep.evaluation.heads import MetricReport
+from seqrep.evaluation.protocol import (
+    eval_from_matrices,
+    global_embeddings,
+    local_window_dataset,
+    next_code_dataset,
+)
+from seqrep.evaluation.windows import sliding_window_embed_many
 from seqrep.pipeline import (
     Splits,
     build_context,
@@ -115,6 +125,8 @@ def test_evaluate_model_payload_shape(tiny_cfg, tiny_splits, ar_model):
         assert set(block) >= {"seeds", "per_seed", "mean", "std"}
         assert len(block["seeds"]) == tiny_cfg.get("eval.n_seeds")
     assert set(timings["seconds"]) == set(payload["tasks"])
+    assert set(timings) == {"seconds", "embed_seconds"}
+    assert timings["embed_seconds"] > 0.0
 
 
 def test_evaluate_model_task_filter_and_context(tiny_cfg, tiny_splits, ar_model):
@@ -123,6 +135,106 @@ def test_evaluate_model_task_filter_and_context(tiny_cfg, tiny_splits, ar_model)
                                 tasks=("next_mcc", "local_binary_context"))
     assert set(payload["tasks"]) == {"next_mcc", "local_binary_context"}
     assert payload["context_method"] == tiny_cfg.get("context.method")
+
+
+def _reference_tasks(cfg, model, splits, store, attention, seeds):
+    """Report of the per-task loop: every task and probe seed embeds its
+    splits anew (and widens them anew), then fits one probe."""
+    window, stride = cfg.get("eval.window"), cfg.get("eval.stride")
+    probe_cfg = make_probe_config(cfg)
+    method = cfg.get("context.method")
+    win_aug = window_augmenter(store, method, attention)
+    glob_aug = global_augmenter(store, method, attention)
+    fit_clients = splits.train + splits.val
+    n_codes = splits.vocab.k
+
+    def windows(clients, augment):
+        embs = sliding_window_embed_many(model.encoder, clients, window, stride,
+                                         model.pool_strategy)
+        return embs if augment is None else augment(embs)
+
+    def globals_(clients, augment):
+        x = global_embeddings(model, clients)
+        x = x if augment is None else augment(clients, x)
+        return x, np.array([c.global_label for c in clients])
+
+    def global_task(augment=None):
+        (fx, fy), (tx, ty) = globals_(fit_clients, augment), globals_(splits.test, augment)
+        return fx, fy, tx, ty, max(2, int(max(fy.max(), ty.max())) + 1)
+
+    def local_task(augment=None):
+        fit = local_window_dataset(splits.train, windows(splits.train, augment))
+        test = local_window_dataset(splits.test, windows(splits.test, augment))
+        return (*fit, *test, 2)
+
+    def next_task():
+        fit = next_code_dataset(splits.train, windows(splits.train, None), n_codes)
+        test = next_code_dataset(splits.test, windows(splits.test, None), n_codes)
+        return (*fit, *test, n_codes)
+
+    tasks = {
+        "global": global_task,
+        "local_binary": local_task,
+        "next_mcc": next_task,
+        "global_context": lambda: global_task(glob_aug),
+        "local_binary_context": lambda: local_task(win_aug),
+    }
+    out = {}
+    for name, make in tasks.items():
+        report = MetricReport()
+        for seed in seeds:
+            report.add(seed, eval_from_matrices(*make(), probe_cfg, seed))
+        out[name] = report.summary()
+    return out
+
+
+def test_evaluate_model_matches_per_task_reference(tiny_splits, ar_model):
+    cfg = small_config(**{"context.method": "learnable",
+                          "context.attn_epochs": 1, "eval.n_seeds": 2})
+    store, attention = build_context(cfg, ar_model, tiny_splits, seed=0)
+    payload, _ = evaluate_model(cfg, ar_model, tiny_splits, base_seed=5,
+                                store=store, attention=attention)
+    expected = _reference_tasks(cfg, ar_model, tiny_splits, store, attention,
+                                seeds=[5, 6])
+    assert list(payload["tasks"]) == list(expected)
+    assert payload["tasks"] == expected
+
+
+@pytest.fixture()
+def embed_calls(monkeypatch):
+    calls = {"windows": 0, "globals": 0}
+    real_windows = protocol.sliding_window_embed_many
+    real_globals = protocol.global_embeddings
+
+    def windows(*args, **kwargs):
+        calls["windows"] += 1
+        return real_windows(*args, **kwargs)
+
+    def globals_(*args, **kwargs):
+        calls["globals"] += 1
+        return real_globals(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "sliding_window_embed_many", windows)
+    monkeypatch.setattr(protocol, "global_embeddings", globals_)
+    return calls
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3])
+@pytest.mark.parametrize("with_store", [False, True])
+def test_evaluate_model_embeds_each_split_once(tiny_splits, ar_model,
+                                               embed_calls, n_seeds, with_store):
+    cfg = small_config(**{"eval.n_seeds": n_seeds, "eval.probe_epochs": 1})
+    store = build_context(cfg, ar_model, tiny_splits)[0] if with_store else None
+    embed_calls.update(windows=0, globals=0)
+    payload, _ = evaluate_model(cfg, ar_model, tiny_splits, store=store)
+    assert len(payload["tasks"]) == (5 if with_store else 3)
+    assert embed_calls == {"windows": 2, "globals": 2}
+
+
+def test_evaluate_model_task_filter_embeds_only_what_it_needs(
+        tiny_cfg, tiny_splits, ar_model, embed_calls):
+    evaluate_model(tiny_cfg, ar_model, tiny_splits, tasks=("global",))
+    assert embed_calls == {"windows": 0, "globals": 2}
 
 
 def test_evaluate_model_skips_missing_labels(tiny_cfg, tiny_splits, ar_model):

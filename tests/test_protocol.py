@@ -8,17 +8,20 @@ from seqrep.config import make_encoder_config
 from seqrep.data.types import ClientSequence
 from seqrep.encoders import build_encoder
 from seqrep.evaluation.heads import ProbeConfig
+import seqrep.evaluation.protocol as protocol
 from seqrep.evaluation.protocol import (
+    EmbeddedSplits,
     FrozenModel,
     eval_from_matrices,
     eval_global,
     eval_local_binary,
     eval_next_mcc,
+    global_dataset,
     global_embeddings,
     local_window_dataset,
     next_code_dataset,
 )
-from seqrep.evaluation.windows import window_ends
+from seqrep.evaluation.windows import sliding_window_embed_many, window_ends
 
 PROBE = ProbeConfig(hidden=8, epochs=3)
 
@@ -58,6 +61,11 @@ def test_eval_from_matrices_learns_separable(rng):
     assert metrics["roc_auc"] > 0.95
 
 
+def _windows(frozen, clients, window, stride):
+    return sliding_window_embed_many(frozen.encoder, list(clients), window,
+                                     stride, frozen.pool_strategy)
+
+
 def test_eval_global_calls_augment_on_both_splits(frozen, tiny_splits):
     calls = []
 
@@ -65,25 +73,32 @@ def test_eval_global_calls_augment_on_both_splits(frozen, tiny_splits):
         calls.append(len(clients))
         return np.concatenate([x, np.zeros((len(x), 1))], axis=1)
 
-    metrics = eval_global(frozen, tiny_splits.train, tiny_splits.val,
-                          tiny_splits.test, probe_cfg=PROBE, seed=0,
-                          augment=widen)
+    emb = EmbeddedSplits(frozen, tiny_splits.train, tiny_splits.val,
+                         tiny_splits.test, global_augment=widen)
+    fit, test = emb.datasets("global_context")
+    metrics = eval_global(fit, test, probe_cfg=PROBE, seed=0)
     assert len(calls) == 2
     assert calls[0] == len(tiny_splits.train) + len(tiny_splits.val)
     assert calls[1] == len(tiny_splits.test)
+    assert fit[0].shape[1] == frozen.encoder.hidden + 1
     assert 0.0 <= metrics["roc_auc"] <= 1.0
+    # The widened matrices are kept: asking again augments nothing more.
+    emb.datasets("global_context")
+    assert len(calls) == 2
 
 
 def test_eval_global_requires_labels(frozen, tiny_splits):
     bad = [dataclasses.replace(c, global_label=None)
            for c in tiny_splits.train[:4]]
     with pytest.raises(ValueError, match="global label"):
-        eval_global(frozen, bad, [], tiny_splits.test, probe_cfg=PROBE)
+        EmbeddedSplits(frozen, bad, [], tiny_splits.test).datasets("global")
+    with pytest.raises(ValueError, match="global label"):
+        global_dataset(bad, np.zeros((4, 3)))
 
 
 def test_local_window_dataset_labels_window_ends(frozen, tiny_clients):
     clients = [c for c in tiny_clients if len(c) >= 8][:6]
-    xs, ys = local_window_dataset(frozen, clients, window=8, stride=4)
+    xs, ys = local_window_dataset(clients, _windows(frozen, clients, 8, 4))
     expected = np.concatenate([
         c.local_labels[window_ends(len(c), 8, 4) - 1] for c in clients
     ])
@@ -92,8 +107,9 @@ def test_local_window_dataset_labels_window_ends(frozen, tiny_clients):
 
 
 def test_local_window_dataset_no_windows_raises(frozen, tiny_clients):
+    embs = _windows(frozen, tiny_clients[:3], 10**6, 16)
     with pytest.raises(ValueError, match="no windows"):
-        local_window_dataset(frozen, tiny_clients[:3], window=10**6)
+        local_window_dataset(tiny_clients[:3], embs)
 
 
 def _plain_sequence(client_id, mcc_idx, n_codes):
@@ -114,22 +130,25 @@ def test_next_code_dataset_skips_sequence_end_and_oov(frozen, tiny_splits):
     idx[8] = 5
     seq = _plain_sequence("crafted", idx, n_codes)
     # ends are [4, 8, 12]; 12 is the sequence end, 4 hits the OOV target.
-    xs, ys = next_code_dataset(frozen, [seq], n_codes, window=4, stride=4)
+    embs = _windows(frozen, [seq], 4, 4)
+    xs, ys = next_code_dataset([seq], embs, n_codes)
     np.testing.assert_array_equal(ys, [4])
-    assert xs.shape == (1, frozen.encoder.hidden)
+    np.testing.assert_array_equal(xs, embs[0].matrix[1:2])
 
 
 def test_next_code_dataset_validation(frozen, tiny_clients):
+    embs = _windows(frozen, tiny_clients[:2], 32, 16)
     with pytest.raises(ValueError, match="two code classes"):
-        next_code_dataset(frozen, tiny_clients[:2], n_codes=1)
+        next_code_dataset(tiny_clients[:2], embs, n_codes=1)
     all_oov = _plain_sequence("oov", np.full(12, 13), 12)
     with pytest.raises(ValueError, match="in-vocabulary"):
-        next_code_dataset(frozen, [all_oov], n_codes=12, window=4, stride=4)
+        next_code_dataset([all_oov], _windows(frozen, [all_oov], 4, 4), n_codes=12)
 
 
 def test_eval_local_binary_runs(frozen, tiny_splits):
-    metrics = eval_local_binary(frozen, tiny_splits.train[:8],
-                                tiny_splits.test[:8], window=16, stride=8,
+    emb = EmbeddedSplits(frozen, tiny_splits.train[:8], [], tiny_splits.test[:8],
+                         window=16, stride=8)
+    metrics = eval_local_binary(*emb.datasets("local_binary"),
                                 probe_cfg=PROBE, seed=0)
     assert 0.0 <= metrics["accuracy"] <= 1.0
 
@@ -139,13 +158,54 @@ def test_eval_local_binary_augment_widens_rows(frozen, tiny_splits):
         return [dataclasses.replace(e, matrix=np.concatenate(
             [e.matrix, e.matrix], axis=1)) for e in embs]
 
-    xs, _ = local_window_dataset(frozen, tiny_splits.train[:4], window=16,
-                                 stride=8, augment=doubler)
+    emb = EmbeddedSplits(frozen, tiny_splits.train[:4], [], tiny_splits.test[:4],
+                         window=16, stride=8, window_augment=doubler)
+    (xs, _), _ = emb.datasets("local_binary_context")
     assert xs.shape[1] == 2 * frozen.encoder.hidden
+    (plain, _), _ = emb.datasets("local_binary")
+    np.testing.assert_array_equal(xs, np.concatenate([plain, plain], axis=1))
 
 
 def test_eval_next_mcc_runs(frozen, tiny_splits):
-    metrics = eval_next_mcc(frozen, tiny_splits.train[:8], tiny_splits.test[:8],
-                            n_codes=tiny_splits.vocab.k, window=16, stride=8,
+    emb = EmbeddedSplits(frozen, tiny_splits.train[:8], [], tiny_splits.test[:8],
+                         window=16, stride=8)
+    n_codes = tiny_splits.vocab.k
+    metrics = eval_next_mcc(*emb.datasets("next_mcc", n_codes), n_codes,
                             probe_cfg=PROBE, seed=0)
     assert 0.0 <= metrics["accuracy"] <= 1.0
+
+
+def test_embedded_splits_embed_each_split_once(frozen, tiny_splits, monkeypatch):
+    calls = []
+    real_windows = protocol.sliding_window_embed_many
+    real_globals = protocol.global_embeddings
+    monkeypatch.setattr(protocol, "sliding_window_embed_many",
+                        lambda enc, clients, *a: calls.append(("windows", len(clients)))
+                        or real_windows(enc, clients, *a))
+    monkeypatch.setattr(protocol, "global_embeddings",
+                        lambda model, clients: calls.append(("globals", len(clients)))
+                        or real_globals(model, clients))
+    emb = EmbeddedSplits(frozen, tiny_splits.train, tiny_splits.val,
+                         tiny_splits.test, window=16, stride=8,
+                         window_augment=lambda embs: embs,
+                         global_augment=lambda clients, x: x)
+    n_codes = tiny_splits.vocab.k
+    emb.datasets("next_mcc", n_codes)
+    assert calls == [("windows", len(tiny_splits.train)),
+                     ("windows", len(tiny_splits.test))]
+    for task in ("local_binary", "local_binary_context", "next_mcc",
+                 "global", "global_context"):
+        emb.datasets(task, n_codes)
+    fit = len(tiny_splits.train) + len(tiny_splits.val)
+    assert calls[2:] == [("globals", fit), ("globals", len(tiny_splits.test))]
+
+
+def test_embedded_splits_rejects_unknown_and_unwidened(frozen, tiny_splits):
+    emb = EmbeddedSplits(frozen, tiny_splits.train[:4], [], tiny_splits.test[:4],
+                         window=16, stride=8)
+    with pytest.raises(ValueError, match="unknown task"):
+        emb.datasets("next_mcc_context", 12)
+    with pytest.raises(ValueError, match="augmenter"):
+        emb.datasets("local_binary_context")
+    with pytest.raises(ValueError, match="augmenter"):
+        emb.datasets("global_context")

@@ -13,7 +13,6 @@ from seqrep.nn import (
     Tensor,
     backward,
     grad_check,
-    replay,
 )
 
 
@@ -213,14 +212,6 @@ def test_nested_tapes_restore_outer():
             assert y._tape is inner
         z = T.relu(x)
         assert z._tape is outer
-
-
-def test_replay_reproduces_forward(rng):
-    with Tape() as tape:
-        a = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        out = T.reduce_sum(T.tanh(T.matmul(a, a)))
-    values = replay(tape)
-    np.testing.assert_array_equal(values[out.node_id_on(tape)], out.data)
 
 
 def test_concat_empty_list_rejected():
