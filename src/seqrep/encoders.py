@@ -22,11 +22,11 @@ from .nn import (
     add,
     concat,
     gather,
+    gru_scan,
     layer_norm,
     matmul,
     multiply,
     reduce_max,
-    reduce_mean,
     reduce_sum,
     relu,
     reshape,
@@ -167,25 +167,15 @@ class GruCore:
 
     def scan(self, x: Tensor, h0: Optional[Tensor] = None) -> Tensor:
         """All hidden states for embedded inputs x (B, L, d_in) -> (B, L, d)."""
-        b, length, _ = x.shape
-        d = self.d
-        # Input projections for every step in three batched matmuls.
-        xz = add(matmul(x, self.gates["w_z"]), self.gates["b_z"])
-        xr = add(matmul(x, self.gates["w_r"]), self.gates["b_r"])
-        xh = add(matmul(x, self.gates["w_h"]), self.gates["b_h"])
-        h = h0 if h0 is not None else Tensor(np.zeros((b, d)))
-        one = Tensor(np.ones(()))
-        steps = []
-        for t in range(length):
-            z = sigmoid(add(take_slice(xz, (slice(None), t)), matmul(h, self.gates["u_z"])))
-            r = sigmoid(add(take_slice(xr, (slice(None), t)), matmul(h, self.gates["u_r"])))
-            h_tilde = tanh(
-                add(take_slice(xh, (slice(None), t)),
-                    matmul(multiply(r, h), self.gates["u_h"]))
-            )
-            h = add(multiply(subtract(one, z), h), multiply(z, h_tilde))
-            steps.append(reshape(h, (b, 1, d)))
-        return concat(steps, axis=1)
+        g = self.gates
+        # Input projections for every step in three batched matmuls; the
+        # recurrence over them is one primitive.
+        xz = add(matmul(x, g["w_z"]), g["b_z"])
+        xr = add(matmul(x, g["w_r"]), g["b_r"])
+        xh = add(matmul(x, g["w_h"]), g["b_h"])
+        if h0 is None:
+            h0 = Tensor(np.zeros((x.shape[0], self.d)))
+        return gru_scan(xz, xr, xh, h0, g["u_z"], g["u_r"], g["u_h"])
 
 
 class GruEncoder:

@@ -47,6 +47,7 @@ __all__ = [
     "softmax_op",
     "log_softmax",
     "layer_norm",
+    "gru_scan",
 ]
 
 
@@ -427,10 +428,15 @@ def _vjp_tanh(g, saved, params, shapes):
     return (g * (1.0 - y * y),)
 
 
-def _fw_sigmoid(params, x):
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of -|x| only, so large magnitudes cannot overflow.
     z = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    q = 1.0 + z
+    return np.where(x >= 0, 1.0 / q, z / q)
+
+
+def _fw_sigmoid(params, x):
+    y = _sigmoid(x)
     return y, (y,)
 
 
@@ -652,6 +658,67 @@ def _vjp_layer_norm(g, saved, params, shapes):
     return ((g - gm - xhat * gx) * inv,)
 
 
+# ------------------------------------------------------------------ GRU scan
+#
+# The whole recurrence h_t = (1 - z) * h_{t-1} + z * h_tilde over (B, L, d)
+# input projections. Forward and backward repeat, op for op, what the
+# per-step composition of the primitives above computes and the order in
+# which `backward` accumulates its records, so both match it bit for bit.
+
+def _fw_gru_scan(params, xz, xr, xh, h0, u_z, u_r, u_h):
+    b, length, d = xz.shape
+    if (xr.shape != xz.shape or xh.shape != xz.shape or h0.shape != (b, d)
+            or any(u.shape != (d, d) for u in (u_z, u_r, u_h))):
+        raise ShapeError(
+            f"gru_scan shapes disagree: x {xz.shape} {xr.shape} {xh.shape}, "
+            f"h0 {h0.shape}, u {u_z.shape} {u_r.shape} {u_h.shape}")
+    # An inf that saturates a gate leaves the output finite and the gradients
+    # NaN, so the inputs are screened too, as each per-step op's would be.
+    for name, a in zip(("xz", "xr", "xh", "h0", "u_z", "u_r", "u_h"),
+                       (xz, xr, xh, h0, u_z, u_r, u_h)):
+        if not np.isfinite(a.sum()):
+            raise NonFiniteError(f"primitive 'gru_scan' input {name} is not finite")
+    out = np.empty((b, length, d))
+    steps = [] if params["save"] else None
+    h = h0
+    for t in range(length):
+        z = _sigmoid(xz[:, t] + h @ u_z)
+        r = _sigmoid(xr[:, t] + h @ u_r)
+        rh = r * h
+        h_tilde = np.tanh(xh[:, t] + rh @ u_h)
+        h_next = (1.0 - z) * h + z * h_tilde
+        if steps is not None:
+            steps.append((z, r, h_tilde, h, rh))
+        out[:, t] = h_next
+        h = h_next
+    return out, (steps, u_z, u_r, u_h)
+
+
+def _vjp_gru_scan(g, saved, params, shapes):
+    steps, u_z, u_r, u_h = saved
+    gxz, gxr, gxh = (np.zeros(shapes[i]) for i in range(3))
+    gu_z = gu_r = gu_h = None
+    gh = None
+    for t in range(len(steps) - 1, -1, -1):
+        z, r, h_tilde, h_prev, rh = steps[t]
+        # The output's own gradient arrives after the next step's.
+        gh = g[:, t] if gh is None else gh + g[:, t]
+        gz = gh * h_tilde + (-(gh * h_prev))
+        g_ah = (gh * z) * (1.0 - h_tilde * h_tilde)
+        g_rh = g_ah @ u_h.T
+        g_ar = (g_rh * h_prev) * r * (1.0 - r)
+        g_az = gz * z * (1.0 - z)
+        gxz[:, t], gxr[:, t], gxh[:, t] = g_az, g_ar, g_ah
+        step_uz, step_ur, step_uh = h_prev.T @ g_az, h_prev.T @ g_ar, rh.T @ g_ah
+        if gu_z is None:
+            gu_z, gu_r, gu_h = step_uz, step_ur, step_uh
+        else:
+            gu_z, gu_r, gu_h = gu_z + step_uz, gu_r + step_ur, gu_h + step_uh
+        # Into h_prev in reverse record order: (1 - z) * h, r * h, @ u_r, @ u_z.
+        gh = gh * (1.0 - z) + (g_rh * r) + g_ar @ u_r.T + g_az @ u_z.T
+    return gxz, gxr, gxh, gh, gu_z, gu_r, gu_h
+
+
 for _name, _f, _v in [
     ("add", _fw_add, _vjp_add),
     ("subtract", _fw_subtract, _vjp_subtract),
@@ -677,6 +744,7 @@ for _name, _f, _v in [
     ("softmax", _fw_softmax, _vjp_softmax),
     ("log_softmax", _fw_log_softmax, _vjp_log_softmax),
     ("layer_norm", _fw_layer_norm, _vjp_layer_norm),
+    ("gru_scan", _fw_gru_scan, _vjp_gru_scan),
 ]:
     _register(_name, _f, _v)
 
@@ -787,6 +855,19 @@ def log_softmax(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     return apply_primitive("layer_norm", x, eps=float(eps))
+
+
+def gru_scan(xz: Tensor, xr: Tensor, xh: Tensor, h0: Tensor,
+             u_z: Tensor, u_r: Tensor, u_h: Tensor) -> Tensor:
+    """GRU hidden states (B, L, d) from input projections x @ w + b, each
+    (B, L, d), the initial state h0 (B, d) and the recurrent weights (d, d).
+
+    Per-step activations are kept for the backward pass only when the call
+    is recorded on a tape.
+    """
+    inputs = (xz, xr, xh, h0, u_z, u_r, u_h)
+    save = active_tape() is not None and any(t.requires_grad for t in inputs)
+    return apply_primitive("gru_scan", *inputs, save=save)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:

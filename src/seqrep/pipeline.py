@@ -233,6 +233,9 @@ def evaluate_model(cfg: Config, model, splits: Splits, base_seed: int = 0,
     has_global = all(c.global_label is not None for c in splits.all_clients)
     has_local = all(c.local_labels is not None for c in splits.all_clients)
     wanted = set(tasks) if tasks is not None else set(TASKS)
+    unknown = sorted(wanted - set(TASKS))
+    if unknown:
+        raise ValueError(f"unknown task(s) {unknown}; valid tasks are {list(TASKS)}")
     chosen = [t for t in TASKS if t in wanted
               and (has_global or not t.startswith("global"))
               and (has_local or not t.startswith("local"))

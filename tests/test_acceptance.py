@@ -40,6 +40,7 @@ from seqrep.nn import (
     exp,
     gather,
     grad_check,
+    gru_scan,
     layer_norm,
     log,
     log_softmax,
@@ -111,6 +112,7 @@ def _primitive_cases(rng):
     r43 = rng.normal(size=(4, 3))
     r35 = rng.normal(size=(3, 5))
     r36 = rng.normal(size=(3, 6))
+    r232 = rng.normal(size=(2, 3, 2))
     cases = {
         "add": (lambda a, b: _wsum(add(a, b), r34),
                 [rng.normal(size=(3, 4)), rng.normal(size=4)]),
@@ -162,6 +164,12 @@ def _primitive_cases(rng):
                         [2.0 * rng.normal(size=(3, 5))]),
         "layer_norm": (lambda x: _wsum(layer_norm(x), r36),
                        [2.0 * rng.normal(size=(3, 6))]),
+        # h0 is an input, as when the autoencoder's decoder starts from a
+        # bridged state.
+        "gru_scan": (lambda *a: _wsum(gru_scan(*a), r232),
+                     [rng.normal(size=(2, 3, 2)) for _ in range(3)]
+                     + [rng.uniform(-0.9, 0.9, size=(2, 2))]
+                     + [0.8 * rng.normal(size=(2, 2)) for _ in range(3)]),
     }
     return cases
 

@@ -1,23 +1,47 @@
-"""Encoders: causality, padding neutrality, pooling oracles, pinned rows."""
+"""Encoders: causality, padding neutrality, pooling oracles, pinned rows,
+and the fused GRU scan against its composed reference."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from seqrep.config import make_encoder_config
 from seqrep.data import ClientSequence
 from seqrep.encoders import (
     POOL_STRATEGIES,
     EncoderConfig,
+    GruCore,
     GruEncoder,
     TransformerEncoder,
     build_encoder,
     embed_pooled,
     encode_sequence,
+    gru_cell,
     pool_batch,
     pool_global,
     pool_padded,
 )
 from seqrep.evaluation.protocol import FrozenModel, global_embeddings
 from seqrep.evaluation.windows import sliding_window_embed_many
-from seqrep.nn import Tape, Tensor, backward
+from seqrep.nn import (
+    NonFiniteError,
+    ShapeError,
+    Tape,
+    Tensor,
+    add,
+    backward,
+    concat,
+    gru_scan,
+    matmul,
+    multiply,
+    reduce_sum,
+    reshape,
+    sigmoid,
+    subtract,
+    take_slice,
+    tanh,
+)
+from seqrep.objectives import TrainConfig, build_model, named_grads
 
 
 def batch_inputs(rng, b=3, length=12, n_indices=9):
@@ -264,3 +288,143 @@ def test_encoder_config_validation():
         EncoderConfig(n_indices=5, arch="transformer", hidden=10, heads=4)
     with pytest.raises(ValueError):
         EncoderConfig(n_indices=5, pool="none")
+
+
+# ------------------------------------------------------------ fused GRU scan
+
+GATE_KEYS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+
+
+def composed_scan(core, x, h0=None):
+    """The GRU scan as one tape primitive per operation and step: the
+    reference the fused `gru_scan` primitive must match bit for bit."""
+    b, length, _ = x.shape
+    d = core.d
+    g = core.gates
+    xz = add(matmul(x, g["w_z"]), g["b_z"])
+    xr = add(matmul(x, g["w_r"]), g["b_r"])
+    xh = add(matmul(x, g["w_h"]), g["b_h"])
+    h = h0 if h0 is not None else Tensor(np.zeros((b, d)))
+    one = Tensor(np.ones(()))
+    steps = []
+    for t in range(length):
+        z = sigmoid(add(take_slice(xz, (slice(None), t)), matmul(h, g["u_z"])))
+        r = sigmoid(add(take_slice(xr, (slice(None), t)), matmul(h, g["u_r"])))
+        h_tilde = tanh(add(take_slice(xh, (slice(None), t)),
+                           matmul(multiply(r, h), g["u_h"])))
+        h = add(multiply(subtract(one, z), h), multiply(z, h_tilde))
+        steps.append(reshape(h, (b, 1, d)))
+    return concat(steps, axis=1)
+
+
+def scan_and_grads(scan, core, x, h0, weights):
+    """Scan output and the gradients of sum(weights * out) w.r.t. x, h0 and
+    every gate, in GATE_KEYS order."""
+    with Tape() as tape:
+        xt = Tensor(x, requires_grad=True)
+        ht = Tensor(h0, requires_grad=True)
+        out = scan(core, xt, ht)
+        loss = reduce_sum(multiply(out, Tensor(weights)))
+        grads = backward(tape, loss)
+    wrt = [xt, ht] + [core.gates[k] for k in GATE_KEYS]
+    return out.data, [grads[t.node_id_on(tape)] for t in wrt]
+
+
+def random_scan_case(seed):
+    rng = np.random.default_rng((77, seed))
+    b = 1 if seed % 5 == 0 else int(rng.integers(1, 6))
+    length = 1 if seed % 7 == 0 else int(rng.integers(1, 15))
+    d_in, d = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    core = GruCore(rng, d_in, d)
+    scale = rng.uniform(0.5, 3.0)
+    for t in core.gates.values():
+        t.data = t.data * scale + rng.normal(scale=0.1, size=t.shape)
+    x = rng.normal(size=(b, length, d_in))
+    h0 = np.tanh(rng.normal(size=(b, d)))
+    return core, x, h0, rng.normal(size=(b, length, d))
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_fused_scan_is_bit_identical_to_composed(seed):
+    core, x, h0, weights = random_scan_case(seed)
+    out, grads = scan_and_grads(GruCore.scan, core, x, h0, weights)
+    ref_out, ref_grads = scan_and_grads(composed_scan, core, x, h0, weights)
+    assert np.array_equal(out, ref_out)
+    for name, got, want in zip(("x", "h0") + GATE_KEYS, grads, ref_grads):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    # Without a tape and without h0 the forward still matches.
+    assert np.array_equal(core.scan(Tensor(x)).data, composed_scan(core, Tensor(x)).data)
+
+
+@pytest.mark.parametrize("objective", ["ar", "ae"])
+def test_fused_scan_model_grads_are_bit_identical(objective, tiny_cfg, tiny_splits,
+                                                  monkeypatch):
+    cfg = make_encoder_config(tiny_cfg, tiny_splits.vocab.n_indices)
+    model = build_model(objective, cfg, TrainConfig(batch_size=8, max_len=40), seed=0)
+    batch = model.iter_batches(tiny_splits.train, np.random.default_rng(0))[0]
+
+    def grads():
+        with Tape() as tape:
+            loss = model.loss(batch)
+        return loss.item(), named_grads(model, tape, loss)
+
+    loss, fused = grads()
+    monkeypatch.setattr(GruCore, "scan", composed_scan)
+    ref_loss, ref = grads()
+    assert loss == ref_loss
+    assert fused.keys() == ref.keys()
+    for name in ref:
+        assert np.array_equal(fused[name], ref[name]), name
+
+
+def test_gru_cell_loop_matches_scan(rng):
+    core = GruCore(rng, 4, 6)
+    x = rng.normal(size=(3, 9, 4))
+    h = Tensor(np.zeros((3, 6)))
+    steps = []
+    for t in range(9):
+        h = gru_cell(Tensor(x[:, t]), h, core.gates)
+        steps.append(h.data)
+    np.testing.assert_allclose(core.scan(Tensor(x)).data, np.stack(steps, axis=1),
+                               rtol=0, atol=1e-12)
+
+
+def test_gru_forward_records_the_same_count_at_any_length(gru, rng):
+    def records(length):
+        mcc = rng.integers(1, 9, size=(2, length))
+        with Tape() as tape:
+            gru.forward(mcc, rng.normal(size=(2, length)))
+        return len(tape.records)
+
+    assert records(5) == records(60)
+
+
+def test_untaped_scan_keeps_no_per_step_arrays(rng):
+    core = GruCore(rng, 13, 32)
+    x = Tensor(rng.normal(size=(64, 350, 13)))
+    tracemalloc.start()
+    try:
+        out = core.scan(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * out.data.nbytes, peak / out.data.nbytes
+
+
+def test_fused_scan_rejects_mismatched_shapes(rng):
+    core = GruCore(rng, 3, 4)
+    g = core.gates
+    xz = Tensor(rng.normal(size=(2, 5, 4)))
+    with pytest.raises(ShapeError):
+        gru_scan(xz, xz, xz, Tensor(np.zeros((2, 3))), g["u_z"], g["u_r"], g["u_h"])
+
+
+def test_fused_scan_rejects_an_inf_that_saturates_a_gate(rng):
+    # With a nonzero state, h @ u_z is +-inf, the sigmoid saturates and the
+    # output stays finite; the gradients would be NaN.
+    core = GruCore(rng, 3, 4)
+    core.gates["u_z"].data[0, 0] = np.inf
+    h0 = Tensor(np.tanh(rng.normal(size=(2, 4))) + 2.0, requires_grad=True)
+    with Tape(), pytest.raises(NonFiniteError, match="'gru_scan' input u_z"):
+        core.scan(Tensor(rng.normal(size=(2, 5, 3))), h0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqrep.config import make_encoder_config
-from seqrep.nn import Tape, Tensor
+from seqrep.nn import NonFiniteError, Tape, Tensor
 from seqrep.objectives import (
     OBJECTIVES,
     TrainConfig,
@@ -301,3 +301,11 @@ def test_train_requires_clients(tiny_cfg, tiny_splits):
                         seed=0)
     with pytest.raises(ValueError):
         train(model, [], tiny_splits.val, epochs=1)
+
+
+def test_train_reports_non_finite_gru_scan(tiny_cfg, tiny_splits):
+    tc = TrainConfig(batch_size=8, max_len=40)
+    model = build_model("ar", enc_cfg(tiny_cfg, tiny_splits), tc, seed=0)
+    model.encoder.gates["u_z"].data[0, 0] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^epoch 0 batch 0: .*'gru_scan'"):
+        train(model, tiny_splits.train, tiny_splits.val, epochs=1)

@@ -22,6 +22,7 @@ from seqrep.evaluation.protocol import (
 )
 from seqrep.evaluation.windows import sliding_window_embed_many
 from seqrep.pipeline import (
+    TASKS,
     Splits,
     build_context,
     compare_objectives,
@@ -135,6 +136,20 @@ def test_evaluate_model_task_filter_and_context(tiny_cfg, tiny_splits, ar_model)
                                 tasks=("next_mcc", "local_binary_context"))
     assert set(payload["tasks"]) == {"next_mcc", "local_binary_context"}
     assert payload["context_method"] == tiny_cfg.get("context.method")
+
+
+def test_evaluate_model_rejects_unknown_task_names(tiny_cfg, tiny_splits, ar_model):
+    with pytest.raises(ValueError, match="globl") as err:
+        evaluate_model(tiny_cfg, ar_model, tiny_splits, tasks=("globl", "next_mcc"))
+    for name in TASKS:
+        assert name in str(err.value)
+
+
+def test_evaluate_model_skips_context_tasks_without_a_store(tiny_cfg, tiny_splits,
+                                                            ar_model):
+    payload, _ = evaluate_model(tiny_cfg, ar_model, tiny_splits,
+                                tasks=("next_mcc", "global_context"))
+    assert set(payload["tasks"]) == {"next_mcc"}
 
 
 def _reference_tasks(cfg, model, splits, store, attention, seeds):
