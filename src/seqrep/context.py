@@ -45,7 +45,6 @@ __all__ = [
     "aggregate_context",
     "attention_loss",
     "chunk_rows",
-    "augment_embedding",
     "window_augmenter",
     "global_augmenter",
     "train_attention_matrix",
@@ -241,11 +240,6 @@ def aggregate_context(x: np.ndarray, h: np.ndarray, method: str = "mean",
     vec = aggregate_many(x[None], np.ones((1, len(x)), dtype=bool),
                          np.asarray(h, dtype=np.float64)[None], method, a)[0]
     return ContextVector(vector=vec, fallback=len(x) == 0, n_sources=len(x))
-
-
-def augment_embedding(h: np.ndarray, ctx: ContextVector) -> np.ndarray:
-    """Own embedding concatenated with its context vector."""
-    return np.concatenate([np.asarray(h, dtype=np.float64), ctx.vector])
 
 
 def _augment_rows(store: EmbeddingStore, h: np.ndarray, times: np.ndarray,

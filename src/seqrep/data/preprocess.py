@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,16 +21,13 @@ def fit_mcc_vocab(sequences: Iterable[ClientSequence], k: int = 100) -> MccVocab
     """
     if k < 1:
         raise ValueError(f"vocabulary size must be >= 1, got {k}")
-    counts: Counter = Counter()
-    for seq in sequences:
-        codes, freqs = np.unique(seq.mcc, return_counts=True)
-        for code, freq in zip(codes, freqs):
-            counts[int(code)] += int(freq)
-    if not counts:
+    columns = [seq.mcc for seq in sequences]
+    if not columns:
         raise ValueError("no transactions to fit a vocabulary on")
-    ranked = sorted(counts.items(), key=lambda cf: (-cf[1], cf[0]))
-    kept = ranked[:k]
-    mapping = {code: i + 1 for i, (code, _) in enumerate(kept)}
+    codes, counts = np.unique(np.concatenate(columns), return_counts=True)
+    # Codes come ascending, so a stable sort by falling count breaks ties by code.
+    kept = codes[np.argsort(-counts, kind="stable")[:k]]
+    mapping = {code: i + 1 for i, code in enumerate(kept.tolist())}
     return MccVocab(mapping=mapping, k=len(kept))
 
 

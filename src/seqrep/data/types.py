@@ -101,6 +101,15 @@ class MccVocab:
 
     mapping: dict[int, int]
     k: int
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The sorted codes and their indices, built once: lookup runs per client.
+        codes = sorted(self.mapping)
+        object.__setattr__(self, "_codes", np.array(codes, dtype=np.int64))
+        object.__setattr__(self, "_values",
+                           np.array([self.mapping[c] for c in codes], dtype=np.int64))
 
     @property
     def oov_index(self) -> int:
@@ -113,9 +122,7 @@ class MccVocab:
 
     def lookup(self, raw) -> np.ndarray:
         arr = np.asarray(raw, dtype=np.int64)
-        codes = np.fromiter(sorted(self.mapping), dtype=np.int64, count=len(self.mapping))
-        vals = np.array([self.mapping[int(c)] for c in codes], dtype=np.int64)
-        if len(codes) == 0:
+        if len(self._codes) == 0:
             return np.full(arr.shape, self.oov_index, dtype=np.int64)
-        pos = np.clip(np.searchsorted(codes, arr), 0, len(codes) - 1)
-        return np.where(codes[pos] == arr, vals[pos], self.oov_index)
+        pos = np.clip(np.searchsorted(self._codes, arr), 0, len(self._codes) - 1)
+        return np.where(self._codes[pos] == arr, self._values[pos], self.oov_index)

@@ -429,10 +429,10 @@ def _vjp_tanh(g, saved, params, shapes):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of -|x| only, so large magnitudes cannot overflow.
+    # exp of -|x| only, so large magnitudes cannot overflow. z is in (0, 1],
+    # so the maximum picks 1 (x >= 0) or z exactly: 1 / q or z / q, no branch.
     z = np.exp(-np.abs(x))
-    q = 1.0 + z
-    return np.where(x >= 0, 1.0 / q, z / q)
+    return np.maximum(z, x >= 0) / (1.0 + z)
 
 
 def _fw_sigmoid(params, x):

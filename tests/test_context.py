@@ -9,7 +9,6 @@ from seqrep.context import (
     EmbeddingStore,
     aggregate_context,
     attention_loss,
-    augment_embedding,
     build_store,
     chunk_rows,
     global_augmenter,
@@ -156,12 +155,6 @@ def test_aggregate_validation(rng):
         aggregate_context(x, h, "learnable")
     with pytest.raises(ValueError, match="matrix"):
         aggregate_context(x, h, "learnable", np.eye(3))
-
-
-def test_augment_embedding_concatenates():
-    ctx = aggregate_context(np.ones((2, 3)), np.zeros(3), "mean")
-    out = augment_embedding(np.array([5.0, 6.0, 7.0]), ctx)
-    np.testing.assert_array_equal(out, [5.0, 6.0, 7.0, 1.0, 1.0, 1.0])
 
 
 def test_window_augmenter_widens_and_excludes_self(frozen, tiny_clients):

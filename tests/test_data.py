@@ -1,5 +1,9 @@
 """Data layer: amount transform, vocabulary, splits, synthetic, splice, CSV."""
+import csv
+import io
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +28,12 @@ from seqrep.data import (
     write_local_labels_csv,
     write_transactions_csv,
 )
-from seqrep.data.ingest import attach_annotations, load_change_points, load_labels
+from seqrep.data.ingest import (
+    attach_annotations,
+    load_change_points,
+    load_labels,
+    load_local_labels,
+)
 
 
 def make_seq(cid, mcc, ts=None, amounts=None, **kw):
@@ -95,6 +104,26 @@ def test_vocab_lookup_matches_dict(codes, k):
     raw = np.asarray(codes + [999], dtype=np.int64)
     expected = np.array([vocab.mapping.get(int(c), vocab.oov_index) for c in raw])
     np.testing.assert_array_equal(vocab.lookup(raw), expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=60),
+                min_size=1, max_size=6),
+       st.integers(1, 20))
+def test_vocab_matches_a_counter_ranking(columns, k):
+    counts = Counter(code for column in columns for code in column)
+    ranked = sorted(counts.items(), key=lambda cf: (-cf[1], cf[0]))[:k]
+    vocab = fit_mcc_vocab([make_seq(f"c{i}", col) for i, col in enumerate(columns)], k=k)
+    assert list(vocab.mapping.items()) == [(code, i + 1) for i, (code, _) in enumerate(ranked)]
+    assert all(type(code) is int for code in vocab.mapping)
+
+
+def test_vocab_equality_ignores_its_lookup_arrays():
+    a = MccVocab(mapping={7: 1, 3: 2}, k=2)
+    assert a == MccVocab(mapping={7: 1, 3: 2}, k=2)
+    assert a != MccVocab(mapping={7: 2, 3: 1}, k=2)
+    np.testing.assert_array_equal(a.lookup([3, 7, 5]), [2, 1, 3])
+    np.testing.assert_array_equal(MccVocab(mapping={}, k=0).lookup([1, 2]), [1, 1])
 
 
 def test_with_vocab_attaches_indices():
@@ -278,6 +307,7 @@ def test_csv_round_trip(tmp_path, synth):
     back = attach_annotations(
         back,
         labels=load_labels(d / "labels.csv"),
+        local_labels=load_local_labels(d / "local_labels.csv"),
         change_points=load_change_points(d / "change_points.csv"),
     )
     assert len(back) == len(ds)
@@ -286,7 +316,8 @@ def test_csv_round_trip(tmp_path, synth):
         got = by_id[orig.client_id]
         np.testing.assert_array_equal(got.timestamps, orig.timestamps)
         np.testing.assert_array_equal(got.mcc, orig.mcc)
-        np.testing.assert_allclose(got.amounts, orig.amounts, rtol=1e-12)
+        np.testing.assert_array_equal(got.amounts, orig.amounts)
+        np.testing.assert_array_equal(got.local_labels, orig.local_labels)
         assert got.global_label == orig.global_label
         assert got.change_point == orig.change_point
 
@@ -307,3 +338,240 @@ def test_ingest_sorts_unsorted_timestamps_with_warning(tmp_path):
     seq = ds.clients[0]
     np.testing.assert_array_equal(seq.timestamps, [3, 5])
     np.testing.assert_array_equal(seq.mcc, [11, 10])
+
+
+# ---------------------------------------------------------------- csv reader against a row-wise reference
+
+def reference_rows(path, n_fields):
+    """The row-wise parser the columnar reader replaced: csv.reader, one row at a time."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            assert len(row) == n_fields, f"line {lineno}"
+            yield row
+
+
+def reference_load(directory):
+    """(id, timestamps, mcc, amounts, label, local labels, change point) per client."""
+    groups = {}
+    for row in reference_rows(directory / "transactions.csv", 4):
+        groups.setdefault(row[0].strip(), []).append((int(row[1]), int(row[2]), float(row[3])))
+    labels = {r[0].strip(): int(r[1]) for r in reference_rows(directory / "labels.csv", 2)}
+    cps = {r[0].strip(): int(r[1])
+           for r in reference_rows(directory / "change_points.csv", 2)}
+    local = {}
+    for r in reference_rows(directory / "local_labels.csv", 3):
+        local.setdefault(r[0].strip(), []).append((int(r[1]), int(r[2])))
+    out = []
+    for cid in sorted(groups):
+        rows = groups[cid]
+        order = np.argsort([r[0] for r in rows], kind="stable")
+        rows = [rows[i] for i in order]
+        loc = None
+        if cid in local:
+            loc = np.zeros(len(rows), dtype=np.int64)
+            for idx, lab in local[cid]:
+                loc[idx] = lab
+        out.append((cid, np.array([r[0] for r in rows], dtype=np.int64),
+                    np.array([r[1] for r in rows], dtype=np.int64),
+                    np.array([r[2] for r in rows], dtype=np.float64),
+                    labels.get(cid), loc, cps.get(cid)))
+    return out
+
+
+ID_CHARS = list("abcxyz019") + [",", " ", '"', "#", "é", "-"]
+BLANK_ROWS = ["", "   ", "\t", ",,,", " , ,", '"",""', ",", '" "']
+
+
+def random_csv_dir(directory, seed):
+    """Four input files from one seed, in the shapes real exports take.
+
+    Quoted ids with commas and quotes, ids padded with spaces or starting
+    with '#', CRLF or LF endings, blank and whitespace-only rows, numbers
+    padded with spaces or tabs, clients interleaved and out of time order,
+    repeated timestamps, repr floats and repeated local-label rows.
+    """
+    rng = np.random.default_rng(seed)
+    ending = "\r\n" if rng.random() < 0.5 else "\n"
+    blanks = rng.random() < 0.7
+    n_clients = int(rng.integers(1, 9))
+    ids = set()
+    while len(ids) < n_clients:
+        cid = "".join(rng.choice(ID_CHARS, size=int(rng.integers(1, 7))))
+        if cid.strip() and not (cid[0] == " " and '"' in cid):
+            ids.add(cid)
+    ids = sorted(ids)
+
+    def pad(text):
+        return rng.choice(["", " ", "\t"]) + text + rng.choice(["", " "])
+
+    def field(cid):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([cid])
+        return buf.getvalue().rstrip("\r\n")
+
+    def write(name, header, rows):
+        lines = [header]
+        for row in rows:
+            if blanks and rng.random() < 0.15:
+                lines.append(str(rng.choice(BLANK_ROWS)))
+            lines.append(",".join(row))
+        (directory / name).write_bytes((ending.join(lines) + ending).encode())
+
+    txns, lengths = [], {}
+    for cid in ids:
+        n = int(rng.integers(1, 25))
+        lengths[cid] = n
+        ts = rng.integers(1_600_000_000, 1_600_000_000 + 40, size=n)
+        for t in ts:
+            amount = rng.choice([rng.normal() * 100, -rng.random() * 1e-7,
+                                 float(rng.integers(-5, 5)), rng.normal() * 1e300, -0.0])
+            text = repr(float(amount)) if rng.random() < 0.8 else str(int(amount))
+            txns.append([field(cid), pad(str(int(t))), pad(str(int(rng.integers(0, 9999)))),
+                         pad(text)])
+    order = rng.permutation(len(txns))
+    write("transactions.csv", "client_id,timestamp,mcc,amount", [txns[i] for i in order])
+    write("labels.csv", "client_id,label",
+          [[field(c), pad(str(int(rng.integers(0, 2))))] for c in ids if rng.random() < 0.8])
+    write("change_points.csv", "client_id,txn_index",
+          [[field(c), str(int(rng.integers(0, lengths[c])))] for c in ids if rng.random() < 0.5])
+    local = [[field(c), pad(str(int(i))), str(int(rng.integers(0, 3)))]
+             for c in ids if rng.random() < 0.8
+             for i in rng.integers(0, lengths[c], size=lengths[c] + 3)]
+    write("local_labels.csv", "client_id,txn_index,label", local)
+
+
+def columnar_load(directory):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = ingest_csv(directory / "transactions.csv")
+    ds = attach_annotations(ds, labels=load_labels(directory / "labels.csv"),
+                            local_labels=load_local_labels(directory / "local_labels.csv"),
+                            change_points=load_change_points(directory / "change_points.csv"))
+    return ds, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_columnar_reader_matches_row_wise_reference(tmp_path, seed):
+    random_csv_dir(tmp_path, seed)
+    want = reference_load(tmp_path)
+    got, caught = columnar_load(tmp_path)
+    assert [c.client_id for c in got] == [w[0] for w in want]
+    for c, (cid, ts, mcc, amounts, label, local, cp) in zip(got, want):
+        assert type(c.client_id) is str
+        for a, b in ((c.timestamps, ts), (c.mcc, mcc), (c.amounts, amounts)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(c.amounts), np.signbit(amounts))
+        assert c.global_label == label and c.change_point == cp
+        assert (c.local_labels is None) == (local is None)
+        if local is not None:
+            assert np.array_equal(c.local_labels, local)
+    by_client = {}
+    for row in reference_rows(tmp_path / "transactions.csv", 4):
+        by_client.setdefault(row[0].strip(), []).append(int(row[1]))
+    unsorted = sum(1 for ts in by_client.values() if np.any(np.diff(ts) < 0))
+    assert caught == ([f"{tmp_path / 'transactions.csv'}: reordered out-of-order "
+                       f"timestamps for {unsorted} client(s)"] if unsorted else [])
+
+
+def test_local_labels_come_sorted_and_last_row_wins(tmp_path):
+    p = tmp_path / "l.csv"
+    p.write_text("client_id,txn_index,label\nb,2,1\na,1,1\nb,0,1\nb,2,0\na,0,2\n")
+    got = load_local_labels(p)
+    assert list(got) == ["a", "b"]
+    np.testing.assert_array_equal(got["a"][0], [0, 1])
+    np.testing.assert_array_equal(got["a"][1], [2, 1])
+    np.testing.assert_array_equal(got["b"][0], [0, 2])
+    np.testing.assert_array_equal(got["b"][1], [1, 0])
+
+
+# ---------------------------------------------------------------- csv errors
+
+HEADER = "client_id,timestamp,mcc,amount\n"
+
+
+def ingest_text(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    return p
+
+
+def test_ingest_rejects_a_wrong_header(tmp_path):
+    p = ingest_text(tmp_path, "client_id,ts,mcc,amount\na,1,2,3\n")
+    with pytest.raises(IngestError, match="expected header client_id,timestamp,mcc,amount, "
+                                          "got client_id,ts,mcc,amount"):
+        ingest_csv(p)
+
+
+def test_ingest_rejects_an_empty_file(tmp_path):
+    with pytest.raises(IngestError, match="t.csv: file is empty"):
+        ingest_csv(ingest_text(tmp_path, ""))
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "  \n,,,\n \t \n", '"","","",""\n'])
+def test_ingest_rejects_no_records_without_leaking_warnings(tmp_path, body):
+    p = ingest_text(tmp_path, HEADER + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestError, match="t.csv: no transaction records"):
+            ingest_csv(p)
+        assert load_labels(ingest_text(tmp_path, "client_id,label\n" + body)) == {}
+
+
+def test_blank_rows_are_skipped_without_warnings(tmp_path):
+    p = ingest_text(tmp_path, HEADER + "a,1,2,3.5\n\n   \n,,,\nb,4,5,-6\n \t\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = ingest_csv(p)
+    assert ds.client_ids() == ["a", "b"]
+    assert ds.clients[1].amounts.tolist() == [-6.0]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("a,1,2,3\n\n  \nb,1,2\n", "line 5: expected 4 fields, got 3"),
+    ("a,1,2,3\nb,1,2,3,4\n", "line 3: expected 4 fields, got 5"),
+    ("a,1,2,3\n  ,1,2,3\n", "line 3: empty client_id"),
+    (',,,\n"",1,2,3\n', "line 3: empty client_id"),
+    ("a,1,2,3\na,x,2,3\n", "line 3: invalid literal for int"),
+    ("a,1,2,3\na,1,2.5,3\n", "line 3: invalid literal for int"),
+    ("a,1_000,2,3\n", "line 2: timestamp '1_000' is not a plain decimal integer"),
+    ("a,1,2,abc\n", "line 2: could not convert string to float"),
+    ("a,1,2,3\r\nb,1,2,1_0.5\r\n", "line 3: amount '1_0.5' is not a plain decimal number"),
+    ("a,1,2,3\na,2,2,inf\n", "line 3: amount inf is not finite"),
+    ("a,1,2,3\n\na,2,2,nan\n", "line 4: amount nan is not finite"),
+    ("a,1,2,1e400\n", "line 2: amount 1e400 is not finite"),
+    ("a,9223372036854775808,2,3\n", "line 2: timestamp 9223372036854775808 is outside "
+                                    "the int64 range"),
+    ("a,1,-99999999999999999999,3\n", "line 2: mcc -99999999999999999999 is outside"),
+])
+def test_ingest_errors_name_their_line(tmp_path, rows, message):
+    p = ingest_text(tmp_path, HEADER + rows)
+    with pytest.raises(IngestError) as err:
+        ingest_csv(p)
+    assert str(err.value).startswith(f"{p} line ")
+    assert message in str(err.value)
+
+
+def test_label_files_check_their_rows_too(tmp_path):
+    p = ingest_text(tmp_path, "client_id,txn_index,label\na,0,1\n\na,1\n")
+    with pytest.raises(IngestError, match="line 4: expected 3 fields, got 2"):
+        load_local_labels(p)
+    p = ingest_text(tmp_path, "client_id,label\na,1\n ,0\n")
+    with pytest.raises(IngestError, match="line 3: empty client_id"):
+        load_labels(p)
+    p = ingest_text(tmp_path, "client_id,txn_index\na,99999999999999999999\n")
+    with pytest.raises(IngestError, match="line 2: txn_index 99999999999999999999 is outside"):
+        load_change_points(p)
+
+
+@pytest.mark.parametrize("index", ["3", "-1"])
+def test_local_label_index_out_of_range(tmp_path, index):
+    ds = ingest_csv(ingest_text(tmp_path, HEADER + "a,1,2,3\na,2,2,3\nb,1,1,1\nb,2,1,1\nb,3,1,1\n"))
+    p = tmp_path / "local.csv"
+    p.write_text(f"client_id,txn_index,label\nb,0,1\na,1,1\na,{index},1\n")
+    with pytest.raises(IngestError, match=f"local label index {index} out of range for "
+                                          f"client a \\(length 2\\)"):
+        attach_annotations(ds, local_labels=load_local_labels(p))

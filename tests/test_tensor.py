@@ -80,6 +80,21 @@ def test_sigmoid_is_stable_at_extremes():
     assert out[1] == pytest.approx(1.0)
 
 
+def test_sigmoid_bits_match_the_two_branch_formula(rng):
+    def two_branch(x):
+        z = np.exp(-np.abs(x))
+        q = 1.0 + z
+        return np.where(x >= 0, 1.0 / q, z / q)
+
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-17,
+                      -1e-17, 1.0, -1.0, 36.7, -36.7, 709.0, -709.0, 745.2,
+                      -745.2, 800.0, -800.0, np.inf, -np.inf])
+    x = np.concatenate([edges, rng.normal(scale=10.0, size=20_000),
+                        rng.uniform(-750.0, 750.0, size=20_000)])
+    got = T._sigmoid(x)
+    assert got.view(np.int64).tolist() == two_branch(x).view(np.int64).tolist()
+
+
 def test_matmul_and_transpose(rng):
     a = Tensor(rng.normal(size=(2, 3, 4)))
     b = Tensor(rng.normal(size=(2, 4, 5)))
