@@ -274,16 +274,5 @@ def attach_annotations(
         cp = seq.change_point
         if change_points is not None:
             cp = change_points.get(seq.client_id, cp)
-        out.append(
-            ClientSequence(
-                client_id=seq.client_id,
-                timestamps=seq.timestamps,
-                mcc=seq.mcc,
-                amounts=seq.amounts,
-                mcc_idx=seq.mcc_idx,
-                global_label=glob,
-                local_labels=loc,
-                change_point=cp,
-            )
-        )
+        out.append(seq.annotated(global_label=glob, local_labels=loc, change_point=cp))
     return Dataset(clients=out, vocab=dataset.vocab, provenance=dataset.provenance)

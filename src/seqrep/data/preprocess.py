@@ -91,16 +91,5 @@ def derive_local_labels(dataset: Dataset, horizon_days: float = 30.0) -> Dataset
         if seq.global_label == 1:
             cutoff = int(seq.timestamps[-1]) - horizon
             labels[seq.timestamps > cutoff] = 1
-        out.append(
-            ClientSequence(
-                client_id=seq.client_id,
-                timestamps=seq.timestamps,
-                mcc=seq.mcc,
-                amounts=seq.amounts,
-                mcc_idx=seq.mcc_idx,
-                global_label=seq.global_label,
-                local_labels=labels,
-                change_point=seq.change_point,
-            )
-        )
+        out.append(seq.annotated(local_labels=labels))
     return Dataset(clients=out, vocab=dataset.vocab, provenance=dataset.provenance)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -58,8 +59,25 @@ class ClientSequence:
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    def annotated(self, **changes) -> "ClientSequence":
+        """A copy with new `mcc_idx` or task annotations.
+
+        The transaction columns and `amounts_t` were validated when this
+        sequence was built, so the copy shares them instead of rebuilding.
+        """
+        unknown = set(changes) - {"mcc_idx", "global_label", "local_labels",
+                                  "change_point"}
+        if unknown:
+            raise TypeError(f"not an annotation: {sorted(unknown)}")
+        out = copy.copy(self)
+        for name, value in changes.items():
+            if name in ("mcc_idx", "local_labels") and value is not None:
+                value = np.asarray(value, dtype=np.int64)
+            setattr(out, name, value)
+        return out
+
     def with_vocab(self, vocab: "MccVocab") -> "ClientSequence":
-        return replace(self, mcc_idx=vocab.lookup(self.mcc))
+        return self.annotated(mcc_idx=vocab.lookup(self.mcc))
 
 
 @dataclass

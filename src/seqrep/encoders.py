@@ -7,6 +7,13 @@ and a prepended CLS slot. Both share one `forward(mcc_idx, amounts_t,
 lengths=None) -> (hidden, cls)`, with cls None for the GRU. Forward passes
 run batched on padded arrays, and record on the active tape only when
 gradients are required, so the same code serves training and inference.
+
+Pooled inference goes through `embed_pooled`, and each encoder blocks a
+batch its own way so that memory depends on block sizes, never on how many
+rows or how long the histories are. The GRU sorts rows by length and scans
+row blocks a few steps at a time, carrying the state from one time block to
+the next and pooling as it goes; the transformer sorts rows by length and
+runs chunks whose attention scores fit a byte budget.
 """
 
 from __future__ import annotations
@@ -60,6 +67,15 @@ __all__ = [
 POOL_STRATEGIES = ("last", "mean", "max", "first_token")
 
 MASK_SCORE = -1e30
+
+# GRU inference blocks: at most ROW_BLOCK rows, scanned
+# max(MIN_TIME_BLOCK, TIME_BLOCK_STEPS // active rows) steps at a time.
+ROW_BLOCK = 512
+TIME_BLOCK_STEPS = 2048
+MIN_TIME_BLOCK = 4
+# Transformer inference chunks: rows x heads x (L+1)^2 float64 attention
+# scores stay within this many bytes (a chunk holds at least one row).
+ATTENTION_BYTES = 16 << 20
 
 
 @dataclass
@@ -215,6 +231,70 @@ class GruEncoder:
         x = embed_batch(self.emb_table, mcc_idx, amounts_t)
         return self.core.scan(x), None
 
+    def embed_pooled(self, mcc_idx: np.ndarray, amounts_t: np.ndarray,
+                     lengths: np.ndarray, strategy: str) -> np.ndarray:
+        """Pooled (B, d) rows of a padded batch, scanned in row and time blocks.
+
+        Rows are sorted by length and cut into near-equal blocks of at most
+        ROW_BLOCK rows. A block is scanned in time blocks that each embed and
+        project only their own steps, for the rows still running, from the
+        state the previous time block left. Pooling runs along, so no
+        (B, L, d) state tensor is ever built. Rows equal
+        `pool_padded(forward(...))` of the whole batch bit for bit (mean
+        pooling for a hidden width of at least 2): every product keeps the
+        BLAS path it takes there, since a time block spans at least two
+        steps and a block with one running row scans a finished one along.
+        """
+        b = len(lengths)
+        out = np.empty((b, self.hidden))
+        order = np.argsort(-lengths, kind="stable")
+        # Near-equal blocks of at least two rows, unless the batch is one row.
+        n_blocks = max(1, min(-(-b // ROW_BLOCK), b // 2))
+        for rows in np.array_split(order, n_blocks):
+            # first_token pools each row's first state and needs nothing after it.
+            span = 1 if strategy == "first_token" else int(lengths[rows[0]])
+            out[rows] = self._pool_row_block(mcc_idx, amounts_t, rows, lengths[rows],
+                                             span, strategy)
+        return out
+
+    def _pool_row_block(self, mcc_idx, amounts_t, rows, lengths, span, strategy):
+        """Pooled rows of one block over its first `span` steps, `rows` sorted
+        by descending length."""
+        nb, width = len(rows), mcc_idx.shape[1]
+        h = np.zeros((nb, self.hidden))
+        acc = np.full((nb, self.hidden), -np.inf if strategy == "max" else 0.0)
+        t0 = 0
+        while t0 < span:
+            n = max(int(np.count_nonzero(lengths > t0)), min(2, nb))
+            t1 = min(t0 + max(MIN_TIME_BLOCK, TIME_BLOCK_STEPS // n), span)
+            if span - t1 == 1:
+                t1 = span
+            # A one-step block would project through a matrix-vector product.
+            t1 = max(t1, min(t0 + 2, width))
+            active = rows[:n]
+            x = embed_batch(self.emb_table, mcc_idx[active, t0:t1],
+                            amounts_t[active, t0:t1])
+            states = self.core.scan(x, Tensor(h[:n])).data
+            h[:n] = states[:, -1]
+            if strategy == "first_token":
+                acc[:n] = states[:, 0]
+            elif strategy == "last":
+                ends = np.flatnonzero((lengths[:n] > t0) & (lengths[:n] <= t1))
+                acc[ends] = states[ends, lengths[ends] - 1 - t0]
+            else:
+                valid = (t0 + np.arange(t1 - t0))[None, :] < lengths[:n, None]
+                if strategy == "mean":
+                    # In time order, as pool_padded's masked sum adds them.
+                    acc[:n] = np.concatenate(
+                        [acc[:n, None], states * valid[:, :, None]], axis=1).sum(axis=1)
+                else:
+                    acc[:n] = np.maximum(
+                        acc[:n], np.where(valid[:, :, None], states, -np.inf).max(axis=1))
+            t0 = t1
+        if strategy == "mean":
+            return acc / lengths[:, None].astype(np.float64)
+        return acc
+
 
 def _sinusoidal_positions(length: int, d: int) -> np.ndarray:
     pos = np.arange(length, dtype=np.float64)[:, None]
@@ -336,6 +416,29 @@ class TransformerEncoder:
         hidden = take_slice(x, (slice(None), slice(1, s)))
         return hidden, cls_out
 
+    def embed_pooled(self, mcc_idx: np.ndarray, amounts_t: np.ndarray,
+                     lengths: np.ndarray, strategy: str) -> np.ndarray:
+        """Pooled (B, d) rows of a padded batch, in chunks of length-sorted rows.
+
+        Each chunk is cut to its longest row and holds as many rows as keep
+        its attention scores within ATTENTION_BYTES. A row equals the forward
+        pass of its own chunk bit for bit; against another padded width it
+        agrees to rounding, since the softmax sums run over the padded width.
+        """
+        b = len(lengths)
+        out = np.empty((b, self.hidden))
+        order = np.argsort(-lengths, kind="stable")
+        lo = 0
+        while lo < b:
+            width = int(lengths[order[lo]])
+            per_row = 8 * self.config.heads * (width + 1) ** 2
+            idx = order[lo : lo + max(1, ATTENTION_BYTES // per_row)]
+            hidden, cls_out = self.forward(mcc_idx[idx, :width], amounts_t[idx, :width],
+                                           lengths[idx])
+            out[idx] = pool_padded(hidden.data, lengths[idx], strategy, cls_out.data)
+            lo += len(idx)
+        return out
+
 
 def build_encoder(config: EncoderConfig, seed: int = 0):
     if config.arch == "gru":
@@ -422,8 +525,22 @@ def pool_padded(hidden: np.ndarray, lengths: np.ndarray, strategy: str,
 
 def embed_pooled(encoder, mcc_idx: np.ndarray, amounts_t: np.ndarray,
                  lengths: np.ndarray, strategy: str) -> np.ndarray:
-    """Pooled (B, d) embeddings of a padded batch (inference, no tape)."""
+    """Pooled (B, d) embeddings of a padded batch (inference, no tape).
+
+    Pass every row in one call: the encoder blocks the batch itself, so
+    memory is bounded by its block sizes, not by the batch.
+    """
+    if strategy not in POOL_STRATEGIES:
+        raise ValueError(f"unknown pooling strategy {strategy!r}")
+    mcc_idx = np.asarray(mcc_idx, dtype=np.int64)
+    amounts_t = np.asarray(amounts_t, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    hidden, cls_out = encoder.forward(mcc_idx, amounts_t, lengths)
-    return pool_padded(hidden.data, lengths, strategy,
-                       None if cls_out is None else cls_out.data)
+    if (mcc_idx.ndim != 2 or amounts_t.shape != mcc_idx.shape
+            or lengths.shape != mcc_idx.shape[:1]):
+        raise ValueError(f"padded batch shapes disagree: mcc {mcc_idx.shape}, "
+                         f"amounts {amounts_t.shape}, lengths {lengths.shape}")
+    if np.any(lengths < 1) or np.any(lengths > mcc_idx.shape[1]):
+        raise ValueError("lengths out of range for pooling")
+    if len(lengths) == 0:
+        return np.zeros((0, encoder.hidden))
+    return encoder.embed_pooled(mcc_idx, amounts_t, lengths, strategy)

@@ -44,14 +44,11 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     n = len(s)
+    # First and last sorted position of every block of equal scores.
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    ends = np.append(starts[1:], n) - 1
     ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -67,24 +67,21 @@ class FrozenModel:
     pool_strategy: str
 
 
-def global_embeddings(model, clients: Sequence[ClientSequence],
-                      chunk: int = 64) -> np.ndarray:
-    """One pooled vector per client, in the given client order."""
+def global_embeddings(model, clients: Sequence[ClientSequence]) -> np.ndarray:
+    """One pooled vector per client, in the given client order.
+
+    Every history goes to the encoder in one padded batch, which the
+    encoder blocks itself, so its working memory depends on its block
+    sizes, not on how many clients or how long their histories are.
+    """
     if not clients:
         raise ValueError("no clients to embed")
-    encoder = model.encoder
-    order = np.argsort([-len(c) for c in clients], kind="stable")
-    out = np.zeros((len(clients), encoder.hidden))
-    for lo in range(0, len(order), chunk):
-        idx = order[lo : lo + chunk]
-        parts = []
-        for i in idx:
-            seq = clients[i]
-            if seq.mcc_idx is None:
-                raise ValueError(f"client {seq.client_id}: vocabulary not applied")
-            parts.append((seq.mcc_idx, seq.amounts_t))
-        out[idx] = embed_pooled(encoder, *pad_batch(parts), model.pool_strategy)
-    return out
+    for seq in clients:
+        if seq.mcc_idx is None:
+            raise ValueError(f"client {seq.client_id}: vocabulary not applied")
+    return embed_pooled(model.encoder,
+                        *pad_batch([(seq.mcc_idx, seq.amounts_t) for seq in clients]),
+                        model.pool_strategy)
 
 
 def eval_from_matrices(fit_x: np.ndarray, fit_y: np.ndarray,

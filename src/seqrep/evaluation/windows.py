@@ -66,16 +66,13 @@ def sliding_window_embed_many(
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
     pool: str = "last",
-    chunk: int = 512,
 ) -> list[WindowEmbeddings]:
-    """Window embeddings for many clients in fixed-size encoder batches.
+    """Window embeddings for many clients in one encoder call.
 
     All windows share one length, so windows from different clients stack
-    into rectangular batches. Clients shorter than `window` come back with
-    zero rows.
+    into one rectangular batch, which the encoder blocks itself. Clients
+    shorter than `window` come back with zero rows.
     """
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
     slices: list[tuple[int, np.ndarray]] = []
     all_mcc = []
     all_amt = []
@@ -88,16 +85,11 @@ def sliding_window_embed_many(
             all_mcc.append(seq.mcc_idx[end - window : end])
             all_amt.append(seq.amounts_t[end - window : end])
 
-    rows: list[np.ndarray] = []
     if all_mcc:
-        mcc = np.stack(all_mcc)
-        amt = np.stack(all_amt)
-        lengths = np.full(len(mcc), window, dtype=np.int64)
-        for lo in range(0, len(mcc), chunk):
-            hi = lo + chunk
-            rows.append(embed_pooled(encoder, mcc[lo:hi], amt[lo:hi],
-                                     lengths[lo:hi], pool))
-    pooled = np.concatenate(rows) if rows else np.zeros((0, encoder.hidden))
+        pooled = embed_pooled(encoder, np.stack(all_mcc), np.stack(all_amt),
+                              np.full(len(all_mcc), window, dtype=np.int64), pool)
+    else:
+        pooled = np.zeros((0, encoder.hidden))
 
     out = []
     offset = 0

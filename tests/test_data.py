@@ -322,6 +322,57 @@ def test_csv_round_trip(tmp_path, synth):
         assert got.change_point == orig.change_point
 
 
+def test_set_up_copies_reuse_the_validated_columns(tmp_path, synth, monkeypatch):
+    """Ingest, annotations and vocabulary give the columns a fresh build
+    would, with the amount transform run once per client."""
+    import seqrep.data.types as types
+
+    _, ds = synth
+    d = tmp_path / "data"
+    d.mkdir()
+    write_transactions_csv(ds, d / "transactions.csv")
+    write_labels_csv({c.client_id: c.global_label for c in ds.clients},
+                     d / "labels.csv")
+    write_local_labels_csv(ds, d / "local_labels.csv")
+    write_change_points_csv(ds, d / "change_points.csv")
+    calls = []
+    real = types.transform_amount
+    monkeypatch.setattr(types, "transform_amount",
+                        lambda a: calls.append(len(a)) or real(a))
+
+    back = attach_annotations(
+        ingest_csv(d / "transactions.csv"),
+        labels=load_labels(d / "labels.csv"),
+        local_labels=load_local_labels(d / "local_labels.csv"),
+        change_points=load_change_points(d / "change_points.csv"),
+    )
+    back = back.with_vocab(fit_mcc_vocab(back.clients, k=5))
+    assert len(calls) == len(back)
+
+    monkeypatch.setattr(types, "transform_amount", real)
+    for got in back.clients:
+        fresh = ClientSequence(
+            client_id=got.client_id, timestamps=got.timestamps.copy(),
+            mcc=got.mcc.copy(), amounts=got.amounts.copy(),
+            mcc_idx=got.mcc_idx.copy(), global_label=got.global_label,
+            local_labels=got.local_labels.copy(), change_point=got.change_point)
+        for name in ("timestamps", "mcc", "amounts", "amounts_t", "mcc_idx",
+                     "local_labels"):
+            a, b = getattr(got, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.global_label, got.change_point) == (fresh.global_label,
+                                                        fresh.change_point)
+
+
+def test_annotated_copies_only_annotations():
+    seq = make_seq("a", [10, 20, 10], amounts=[1.0, -2.0, 3.0])
+    out = seq.annotated(local_labels=[0, 1, 1], global_label=1)
+    assert out.local_labels.dtype == np.int64 and seq.local_labels is None
+    assert out.amounts_t is seq.amounts_t and out.global_label == 1
+    with pytest.raises(TypeError, match="not an annotation"):
+        seq.annotated(amounts=[1.0, 1.0, 1.0])
+
+
 def test_ingest_missing_column_is_typed_error(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("client_id,timestamp\na,1\n")

@@ -1,10 +1,11 @@
 """Encoders: causality, padding neutrality, pooling oracles, pinned rows,
-and the fused GRU scan against its composed reference."""
+blocked inference, and the fused GRU scan against its composed reference."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import seqrep.encoders as encoders
 from seqrep.config import make_encoder_config
 from seqrep.data import ClientSequence
 from seqrep.encoders import (
@@ -230,13 +231,24 @@ def piece(seq, lo, hi):
                           mcc_idx=seq.mcc_idx[lo:hi])
 
 
+def small_blocks(monkeypatch, rows=2, steps=6, min_steps=2, attention_bytes=4096):
+    """Block constants small enough that a test batch spans many blocks."""
+    monkeypatch.setattr(encoders, "ROW_BLOCK", rows)
+    monkeypatch.setattr(encoders, "TIME_BLOCK_STEPS", steps)
+    monkeypatch.setattr(encoders, "MIN_TIME_BLOCK", min_steps)
+    monkeypatch.setattr(encoders, "ATTENTION_BYTES", attention_bytes)
+
+
 @pytest.mark.parametrize("strategy", POOL_STRATEGIES)
 @pytest.mark.parametrize("arch", ["gru", "transformer"])
-def test_inference_paths_match_single_sequence_reference(arch, strategy, gru, txf, rng):
+def test_inference_paths_match_single_sequence_reference(arch, strategy, gru, txf, rng,
+                                                         monkeypatch):
     """Global rows, window rows and a pooled slice each equal the sequence
-    encoded alone through encode_sequence + pool_global."""
+    encoded alone through encode_sequence + pool_global, with the batches
+    cut into several row and time blocks (transformer: several chunks)."""
     encoder = gru if arch == "gru" else txf
     clients = mixed_clients(rng)
+    small_blocks(monkeypatch)
 
     def reference(seq):
         return pool_global(encode_sequence(encoder, seq), strategy).vector
@@ -244,12 +256,12 @@ def test_inference_paths_match_single_sequence_reference(arch, strategy, gru, tx
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
-    rows = global_embeddings(FrozenModel(encoder, strategy), clients, chunk=3)
+    rows = global_embeddings(FrozenModel(encoder, strategy), clients)
     for seq, row in zip(clients, rows):
         close(row, reference(seq))
 
     window, stride = 8, 5
-    embs = sliding_window_embed_many(encoder, clients, window, stride, strategy, chunk=4)
+    embs = sliding_window_embed_many(encoder, clients, window, stride, strategy)
     for seq, emb in zip(clients, embs):
         assert len(emb) == len(range(window, len(seq) + 1, stride))
         for end, row in zip(emb.ends, emb.matrix):
@@ -260,6 +272,135 @@ def test_inference_paths_match_single_sequence_reference(arch, strategy, gru, tx
                        [hi - lo], strategy)
     assert got.shape == (1, encoder.hidden)
     close(got[0], reference(piece(seq, lo, hi)))
+
+
+def padded(rng, lengths, n_indices=9):
+    lengths = np.asarray(lengths, dtype=np.int64)
+    mcc = rng.integers(1, n_indices, size=(len(lengths), lengths.max()))
+    amt = rng.normal(size=mcc.shape)
+    for i, n in enumerate(lengths):
+        mcc[i, n:] = 0
+        amt[i, n:] = 0.0
+    return mcc, amt, lengths
+
+
+# Mixed, equal, length-1 and time-block-boundary lengths (a block of 4 or 6
+# steps ends at 4, 6, 8, 12, 24); the last case has more rows than one
+# default row block.
+BLOCK_CASES = {
+    "mixed": [40, 33, 20, 13, 9, 3, 1],
+    "equal": [7] * 6,
+    "ones": [1, 1, 1],
+    "one_row": [9],
+    "one_long_row": [30, 2],
+    "boundaries": [24, 12, 8, 7, 6, 5, 4, 3, 2],
+    "many_rows": list(np.random.default_rng(5).integers(1, 12, size=600)),
+}
+
+
+@pytest.mark.parametrize("strategy", POOL_STRATEGIES)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@pytest.mark.parametrize("arch", ["gru", "transformer"])
+def test_blocked_pooling_equals_the_padded_forward(arch, case, strategy, gru, txf, rng):
+    """At the default block sizes every row equals pool_padded of one forward
+    pass over the whole padded batch, bit for bit."""
+    encoder = gru if arch == "gru" else txf
+    mcc, amt, lengths = padded(rng, BLOCK_CASES[case])
+    hidden, cls_out = encoder.forward(mcc, amt, lengths)
+    want = pool_padded(hidden.data, lengths, strategy,
+                       None if cls_out is None else cls_out.data)
+    got = embed_pooled(encoder, mcc, amt, lengths, strategy)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("strategy", POOL_STRATEGIES)
+@pytest.mark.parametrize("blocks", [(2, 6, 2), (3, 4, 4), (5, 1, 2), (1, 100, 4)])
+@pytest.mark.parametrize("lengths", [[40, 33, 20, 13, 9, 3, 1, 7, 7, 2, 25],
+                                     # Four-step blocks leave one step over.
+                                     [41, 41, 17, 9]])
+def test_gru_rows_do_not_depend_on_block_sizes(lengths, blocks, strategy, gru, rng,
+                                               monkeypatch):
+    mcc, amt, lengths = padded(rng, lengths)
+    want = embed_pooled(gru, mcc, amt, lengths, strategy)
+    rows, steps, min_steps = blocks
+    small_blocks(monkeypatch, rows, steps, min_steps)
+    assert np.array_equal(embed_pooled(gru, mcc, amt, lengths, strategy), want)
+
+
+def test_transformer_chunks_fit_their_budget(txf, rng, monkeypatch):
+    """Each chunk is cut to its longest row, and its attention scores fit the
+    budget unless the chunk is one row; rows agree with one unchunked pass
+    to rounding, since softmax sums run over the padded width."""
+    mcc, amt, lengths = padded(rng, [40, 33, 20, 13, 9, 3, 1, 7, 7, 2, 25])
+    hidden, cls_out = txf.forward(mcc, amt, lengths)
+    budget = 8 * txf.config.heads * 21 ** 2 * 3
+    small_blocks(monkeypatch, attention_bytes=budget)
+    shapes = []
+    real = TransformerEncoder.forward
+
+    def forward(self, m, a, n=None):
+        shapes.append(m.shape)
+        assert m.shape[1] == n.max()
+        return real(self, m, a, n)
+
+    monkeypatch.setattr(TransformerEncoder, "forward", forward)
+    for strategy in POOL_STRATEGIES:
+        got = embed_pooled(txf, mcc, amt, lengths, strategy)
+        np.testing.assert_allclose(
+            got, pool_padded(hidden.data, lengths, strategy, cls_out.data),
+            rtol=1e-12, atol=1e-14)
+    assert sum(b for b, _ in shapes) == 4 * len(lengths)
+    for b, width in shapes:
+        assert b == 1 or b * txf.config.heads * (width + 1) ** 2 * 8 <= budget
+
+
+def test_gru_inference_memory_does_not_grow_with_history(rng):
+    encoder = GruEncoder(EncoderConfig(n_indices=9, d_emb=6, hidden=32), seed=0)
+
+    def peak(length):
+        mcc = rng.integers(1, 9, size=(16, length))
+        amt = rng.normal(size=(16, length))
+        lengths = np.full(16, length)
+        tracemalloc.start()
+        try:
+            embed_pooled(encoder, mcc, amt, lengths, "mean")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(1000), peak(4000)
+    # One forward pass over the long batch holds (16, 4000, 32) states: 16 MB.
+    assert long < 1.2 * short < 16 * 4000 * 32 * 8 / 4, (short, long)
+
+
+def test_transformer_whole_history_memory_is_bounded_by_its_budget(rng):
+    encoder = TransformerEncoder(EncoderConfig(n_indices=9, d_emb=6, hidden=16,
+                                               arch="transformer", heads=4, ff=32),
+                                 seed=0)
+    clients = mixed_clients(rng, lengths=rng.integers(100, 301, size=40))
+    tracemalloc.start()
+    try:
+        rows = global_embeddings(FrozenModel(encoder, "mean"), clients)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (40, 16)
+    # Scores, their masked copy and the softmax's two temporaries: about four
+    # budgets. One unchunked pass would hold 40 x 4 x 301^2 floats in each.
+    assert peak < 6 * encoders.ATTENTION_BYTES, peak / encoders.ATTENTION_BYTES
+
+
+def test_embed_pooled_validates_its_batch(gru, rng):
+    mcc, amt, lengths = padded(rng, [5, 3])
+    with pytest.raises(ValueError, match="pooling strategy"):
+        embed_pooled(gru, mcc, amt, lengths, "middle")
+    with pytest.raises(ValueError, match="lengths out of range"):
+        embed_pooled(gru, mcc, amt, [6, 3], "last")
+    with pytest.raises(ValueError, match="lengths out of range"):
+        embed_pooled(gru, mcc, amt, [0, 3], "last")
+    with pytest.raises(ValueError, match="shapes disagree"):
+        embed_pooled(gru, mcc, amt[:, :4], lengths, "last")
+    assert embed_pooled(gru, mcc[:0], amt[:0], lengths[:0], "last").shape == (0, 10)
 
 
 def test_pool_padded_returns_fresh_rows(rng):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqrep.evaluation.metrics import (
+    _average_ranks,
     accuracy,
     classification_metrics,
     pr_auc,
@@ -49,6 +50,22 @@ def pr_auc_oracle(y, s):
     return out
 
 
+def average_ranks_loop(scores):
+    """The tie-block walk the vectorised ranks replace, kept as their oracle."""
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    n = len(s)
+    ranks = np.empty(n)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and s[j + 1] == s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def labeled_scores(draw_rng, n):
     y = draw_rng.integers(0, 2, size=n)
     if y.sum() == 0:
@@ -80,6 +97,16 @@ def test_pr_auc_matches_average_precision(n, seed):
     rng = np.random.default_rng(seed)
     y, s = labeled_scores(rng, n)
     assert pr_auc(y, s) == pytest.approx(pr_auc_oracle(y, s), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 8), st.integers(0, 2**31 - 1))
+def test_average_ranks_equal_the_tie_block_walk(n, levels, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=n).astype(np.float64) / levels
+    got = _average_ranks(scores)
+    assert np.array_equal(got, average_ranks_loop(scores))
+    assert got.sum() == n * (n + 1) / 2
 
 
 def test_roc_auc_known_values():

@@ -89,7 +89,9 @@ def test_batched_embed_matches_single(encoder, rng):
     many = sliding_window_embed_many(encoder, seqs, 16, 8, pool="mean")
     for seq, got in zip(seqs, many):
         solo = sliding_window_embed_many(encoder, [seq], 16, 8, pool="mean")[0]
-        # Different chunkings reorder BLAS sums; equality is to rounding.
+        # Batching does not move a row, but a client with one window is a
+        # one-row batch on its own, and a one-row scan goes through BLAS's
+        # matrix-vector product, which rounds differently: equal to rounding.
         np.testing.assert_allclose(got.matrix, solo.matrix, atol=1e-12)
         np.testing.assert_array_equal(got.ends, solo.ends)
     # The same call twice is bit-identical.
