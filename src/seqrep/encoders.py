@@ -11,9 +11,9 @@ gradients are required, so the same code serves training and inference.
 Pooled inference goes through `embed_pooled`, and each encoder blocks a
 batch its own way so that memory depends on block sizes, never on how many
 rows or how long the histories are. The GRU sorts rows by length and scans
-row blocks a few steps at a time, carrying the state from one time block to
-the next and pooling as it goes; the transformer sorts rows by length and
-runs chunks whose attention scores fit a byte budget.
+row blocks a few steps at a time, time-major, carrying the state from one
+time block to the next and pooling as it goes; the transformer sorts rows by
+length and runs chunks whose attention scores fit a byte budget.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ import numpy as np
 
 from .data.types import ClientSequence
 from .nn import (
+    TapeError,
     Tensor,
     add,
     concat,
     gather,
     gru_scan,
+    gru_scan_time_major,
     layer_norm,
     matmul,
     multiply,
@@ -44,6 +46,7 @@ from .nn import (
     tanh,
     transpose,
 )
+from .nn.tensor import active_tape, swap_time
 
 __all__ = [
     "EncoderConfig",
@@ -181,17 +184,56 @@ class GruCore:
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}/{name}", self.gates[name]) for name in sorted(self.gates)]
 
-    def scan(self, x: Tensor, h0: Optional[Tensor] = None) -> Tensor:
-        """All hidden states for embedded inputs x (B, L, d_in) -> (B, L, d)."""
+    def scan(self, x: Tensor, h0: Optional[Tensor] = None,
+             time_major: bool = False) -> Tensor:
+        """All hidden states for embedded inputs x (B, L, d_in) -> (B, L, d).
+
+        With nothing recording, the input projections run time-major and
+        the recurrence untaped. With `time_major`, x is (L, B, d_in) and the
+        states come back (L, B, d), with no transposes; that layout is for
+        inference only.
+        """
         g = self.gates
-        # Input projections for every step in three batched matmuls; the
-        # recurrence over them is one primitive.
+        b = x.shape[1] if time_major else x.shape[0]
+        if h0 is None:
+            h0 = Tensor(np.zeros((b, self.d)))
+        recording = active_tape() is not None and any(
+            t.requires_grad for t in (x, h0, *g.values()))
+        if not recording:
+            xt = x.data if time_major else swap_time(x.data)
+            proj = self._project_time_major(xt)
+            # Freed before the states are allocated, and the projections
+            # before a batch-major copy of the states.
+            del xt
+            states = gru_scan_time_major(*proj, h0.data, g["u_z"].data,
+                                         g["u_r"].data, g["u_h"].data)
+            del proj
+            return Tensor(states if time_major else swap_time(states))
+        if time_major:
+            raise TapeError("a time-major GRU scan is inference only; "
+                            "record the batch-major scan")
+        # Input projections for every step in three batched matmuls, so the
+        # weight gradients sum over steps per client; the recurrence over
+        # them is one primitive.
         xz = add(matmul(x, g["w_z"]), g["b_z"])
         xr = add(matmul(x, g["w_r"]), g["b_r"])
         xh = add(matmul(x, g["w_h"]), g["b_h"])
-        if h0 is None:
-            h0 = Tensor(np.zeros((x.shape[0], self.d)))
         return gru_scan(xz, xr, xh, h0, g["u_z"], g["u_r"], g["u_h"])
+
+    def _project_time_major(self, x: np.ndarray) -> list[np.ndarray]:
+        """x @ w + b per gate over time-major x (L, B, d_in): one product over
+        all L * B rows, or for one step one product per row, the
+        matrix-vector path that the batch-major projection takes then. An
+        overflow is left to the scan's input screen."""
+        length, b, d_in = x.shape
+        rows = x.reshape(b, 1, d_in) if length == 1 else x.reshape(length * b, d_in)
+        out = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gate in "zrh":
+                p = np.matmul(rows, self.gates[f"w_{gate}"].data)
+                p += self.gates[f"b_{gate}"].data
+                out.append(p.reshape(length, b, self.d))
+        return out
 
 
 class GruEncoder:
@@ -236,14 +278,18 @@ class GruEncoder:
         """Pooled (B, d) rows of a padded batch, scanned in row and time blocks.
 
         Rows are sorted by length and cut into near-equal blocks of at most
-        ROW_BLOCK rows. A block is scanned in time blocks that each embed and
-        project only their own steps, for the rows still running, from the
-        state the previous time block left. Pooling runs along, so no
-        (B, L, d) state tensor is ever built. Rows equal
+        ROW_BLOCK rows. A block is scanned time-major in time blocks that
+        each embed and project only their own steps, for the rows still
+        running, from the state the previous time block left. Pooling runs
+        along, so no (B, L, d) state tensor is ever built. Rows equal
         `pool_padded(forward(...))` of the whole batch bit for bit (mean
-        pooling for a hidden width of at least 2): every product keeps the
-        BLAS path it takes there, since a time block spans at least two
-        steps and a block with one running row scans a finished one along.
+        pooling for a hidden width of at least 2) wherever BLAS gives a
+        product row the same bits at any row count of two or more: every
+        product keeps the BLAS path it takes there, since a time block spans
+        at least two steps and a block with one running row scans a finished
+        one along. Elsewhere (on AVX-512 OpenBLAS, inputs of 16 or more
+        columns into a width that is 1-3 past a multiple of 8) they agree to
+        rounding.
         """
         b = len(lengths)
         out = np.empty((b, self.hidden))
@@ -272,24 +318,25 @@ class GruEncoder:
             # A one-step block would project through a matrix-vector product.
             t1 = max(t1, min(t0 + 2, width))
             active = rows[:n]
-            x = embed_batch(self.emb_table, mcc_idx[active, t0:t1],
-                            amounts_t[active, t0:t1])
-            states = self.core.scan(x, Tensor(h[:n])).data
-            h[:n] = states[:, -1]
+            # Embedded and scanned time-major: states are (steps, rows, d).
+            x = embed_batch(self.emb_table, mcc_idx[active, t0:t1].T,
+                            amounts_t[active, t0:t1].T)
+            states = self.core.scan(x, Tensor(h[:n]), time_major=True).data
+            h[:n] = states[-1]
             if strategy == "first_token":
-                acc[:n] = states[:, 0]
+                acc[:n] = states[0]
             elif strategy == "last":
                 ends = np.flatnonzero((lengths[:n] > t0) & (lengths[:n] <= t1))
-                acc[ends] = states[ends, lengths[ends] - 1 - t0]
+                acc[ends] = states[lengths[ends] - 1 - t0, ends]
             else:
-                valid = (t0 + np.arange(t1 - t0))[None, :] < lengths[:n, None]
+                valid = (t0 + np.arange(t1 - t0))[:, None] < lengths[None, :n]
                 if strategy == "mean":
                     # In time order, as pool_padded's masked sum adds them.
                     acc[:n] = np.concatenate(
-                        [acc[:n, None], states * valid[:, :, None]], axis=1).sum(axis=1)
+                        [acc[None, :n], states * valid[:, :, None]]).sum(axis=0)
                 else:
                     acc[:n] = np.maximum(
-                        acc[:n], np.where(valid[:, :, None], states, -np.inf).max(axis=1))
+                        acc[:n], np.where(valid[:, :, None], states, -np.inf).max(axis=0))
             t0 = t1
         if strategy == "mean":
             return acc / lengths[:, None].astype(np.float64)

@@ -73,28 +73,29 @@ def sliding_window_embed_many(
     into one rectangular batch, which the encoder blocks itself. Clients
     shorter than `window` come back with zero rows.
     """
-    slices: list[tuple[int, np.ndarray]] = []
+    all_ends: list[np.ndarray] = []
     all_mcc = []
     all_amt = []
-    for ci, seq in enumerate(sequences):
+    for seq in sequences:
         if seq.mcc_idx is None:
             raise ValueError(f"client {seq.client_id}: vocabulary not applied")
         ends = window_ends(len(seq), window, stride)
-        slices.append((ci, ends))
-        for end in ends:
-            all_mcc.append(seq.mcc_idx[end - window : end])
-            all_amt.append(seq.amounts_t[end - window : end])
+        all_ends.append(ends)
+        # Row i holds positions ends[i] - window ... ends[i] - 1.
+        idx = ends[:, None] - window + np.arange(window)
+        all_mcc.append(seq.mcc_idx[idx])
+        all_amt.append(seq.amounts_t[idx])
 
-    if all_mcc:
-        pooled = embed_pooled(encoder, np.stack(all_mcc), np.stack(all_amt),
-                              np.full(len(all_mcc), window, dtype=np.int64), pool)
+    n_rows = sum(len(ends) for ends in all_ends)
+    if n_rows:
+        pooled = embed_pooled(encoder, np.concatenate(all_mcc), np.concatenate(all_amt),
+                              np.full(n_rows, window, dtype=np.int64), pool)
     else:
         pooled = np.zeros((0, encoder.hidden))
 
     out = []
     offset = 0
-    for ci, ends in slices:
-        seq = sequences[ci]
+    for seq, ends in zip(sequences, all_ends):
         n = len(ends)
         matrix = pooled[offset : offset + n]
         offset += n

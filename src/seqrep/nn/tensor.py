@@ -48,6 +48,7 @@ __all__ = [
     "log_softmax",
     "layer_norm",
     "gru_scan",
+    "gru_scan_time_major",
 ]
 
 
@@ -428,11 +429,24 @@ def _vjp_tanh(g, saved, params, shapes):
     return (g * (1.0 - y * y),)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid_into(x: np.ndarray, e: np.ndarray, pos: np.ndarray) -> None:
+    """Sigmoid written over float64 x, with e (float64) and pos (bool) of
+    x's shape as scratch."""
     # exp of -|x| only, so large magnitudes cannot overflow. z is in (0, 1],
     # so the maximum picks 1 (x >= 0) or z exactly: 1 / q or z / q, no branch.
-    z = np.exp(-np.abs(x))
-    return np.maximum(z, x >= 0) / (1.0 + z)
+    np.greater_equal(x, 0.0, out=pos)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.maximum(e, pos, out=x)
+    e += 1.0
+    x /= e
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    y = np.array(x, dtype=np.float64)
+    _sigmoid_into(y, np.empty_like(y), np.empty(y.shape, dtype=bool))
+    return y
 
 
 def _fw_sigmoid(params, x):
@@ -660,63 +674,154 @@ def _vjp_layer_norm(g, saved, params, shapes):
 
 # ------------------------------------------------------------------ GRU scan
 #
-# The whole recurrence h_t = (1 - z) * h_{t-1} + z * h_tilde over (B, L, d)
-# input projections. Forward and backward repeat, op for op, what the
-# per-step composition of the primitives above computes and the order in
-# which `backward` accumulates its records, so both match it bit for bit.
+# The whole recurrence h_t = (1 - z) * h_{t-1} + z * h_tilde. The kernel runs
+# on time-major (L, B, d) projections, so each step reads and writes
+# contiguous (B, d) slabs, and it computes into buffers allocated once per
+# call. Forward and backward repeat, op for op, what the per-step
+# composition of the primitives above computes and the order in which
+# `backward` accumulates its records, so both match it bit for bit.
 
-def _fw_gru_scan(params, xz, xr, xh, h0, u_z, u_r, u_h):
-    b, length, d = xz.shape
-    if (xr.shape != xz.shape or xh.shape != xz.shape or h0.shape != (b, d)
-            or any(u.shape != (d, d) for u in (u_z, u_r, u_h))):
+def _screen_gru_inputs(arrays, batch_axis: int) -> None:
+    xz, xr, xh, h0, u_z, u_r, u_h = arrays
+    if (xz.ndim != 3 or xr.shape != xz.shape or xh.shape != xz.shape
+            or h0.shape != (xz.shape[batch_axis], xz.shape[2])
+            or any(u.shape != (xz.shape[2],) * 2 for u in (u_z, u_r, u_h))):
         raise ShapeError(
             f"gru_scan shapes disagree: x {xz.shape} {xr.shape} {xh.shape}, "
             f"h0 {h0.shape}, u {u_z.shape} {u_r.shape} {u_h.shape}")
     # An inf that saturates a gate leaves the output finite and the gradients
     # NaN, so the inputs are screened too, as each per-step op's would be.
-    for name, a in zip(("xz", "xr", "xh", "h0", "u_z", "u_r", "u_h"),
-                       (xz, xr, xh, h0, u_z, u_r, u_h)):
+    for name, a in zip(("xz", "xr", "xh", "h0", "u_z", "u_r", "u_h"), arrays):
         if not np.isfinite(a.sum()):
             raise NonFiniteError(f"primitive 'gru_scan' input {name} is not finite")
-    out = np.empty((b, length, d))
-    steps = [] if params["save"] else None
+
+
+def swap_time(a: np.ndarray) -> np.ndarray:
+    """(B, L, d) <-> (L, B, d), contiguous."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2))
+
+
+def _gru_forward(xz, xr, xh, h0, u_z, u_r, u_h, save: bool):
+    """States (L, B, d) from time-major projections, and with `save` the
+    per-step gates z|r (L, 2, B, d), candidates and r * h for the backward."""
+    length, b, d = xz.shape
+    out = np.empty((length, b, d))
+    if save:
+        zr_all, ht_all, rh_all = (np.empty((length, 2, b, d)),
+                                  np.empty((length, b, d)), np.empty((length, b, d)))
+    else:
+        zr_all = ht_all = rh_all = None
+        zr, h_tilde, rh = np.empty((2, b, d)), np.empty((b, d)), np.empty((b, d))
+    e, pos, tmp = np.empty((2, b, d)), np.empty((2, b, d), dtype=bool), np.empty((b, d))
     h = h0
     for t in range(length):
-        z = _sigmoid(xz[:, t] + h @ u_z)
-        r = _sigmoid(xr[:, t] + h @ u_r)
-        rh = r * h
-        h_tilde = np.tanh(xh[:, t] + rh @ u_h)
-        h_next = (1.0 - z) * h + z * h_tilde
-        if steps is not None:
-            steps.append((z, r, h_tilde, h, rh))
-        out[:, t] = h_next
+        if save:
+            zr, h_tilde, rh = zr_all[t], ht_all[t], rh_all[t]
+        z, r = zr
+        # Two products, not one (d, 2d): a one-row product goes through the
+        # matrix-vector routine, which rounds a fused width differently.
+        np.matmul(h, u_z, out=z)
+        np.matmul(h, u_r, out=r)
+        z += xz[t]
+        r += xr[t]
+        _sigmoid_into(zr, e, pos)
+        np.multiply(r, h, out=rh)
+        np.matmul(rh, u_h, out=h_tilde)
+        h_tilde += xh[t]
+        np.tanh(h_tilde, out=h_tilde)
+        h_next = out[t]
+        np.subtract(1.0, z, out=h_next)
+        h_next *= h
+        np.multiply(z, h_tilde, out=tmp)
+        h_next += tmp
         h = h_next
-    return out, (steps, u_z, u_r, u_h)
+    return out, (zr_all, ht_all, rh_all)
+
+
+def _gru_backward(g, out, steps, h0, u_z, u_r, u_h):
+    """Time-major gradients of the projections, then those of h0 and u."""
+    zr_all, ht_all, rh_all = steps
+    length, b, d = g.shape
+    # The per-step factors that depend on no gradient, for all steps at once.
+    one_minus_zr = 1.0 - zr_all
+    one_minus_ht2 = 1.0 - ht_all * ht_all
+    gxz, gxr, gxh = (np.empty((length, b, d)) for _ in range(3))
+    gz, g_rh, tmp = (np.empty((b, d)) for _ in range(3))
+    step = np.empty((d, d))
+    gh = gu_z = gu_r = gu_h = None
+    for t in range(length - 1, -1, -1):
+        (z, r), (one_z, one_r), h_tilde, rh = (zr_all[t], one_minus_zr[t], ht_all[t],
+                                               rh_all[t])
+        h_prev = out[t - 1] if t else h0
+        # The output's own gradient arrives after the next step's.
+        if gh is None:
+            gh = g[t].copy()
+        else:
+            gh += g[t]
+        # gz = gh * h_tilde + (-(gh * h_prev)); a + (-b) is a - b exactly.
+        np.multiply(gh, h_tilde, out=gz)
+        np.multiply(gh, h_prev, out=tmp)
+        gz -= tmp
+        g_ah = gxh[t]
+        np.multiply(gh, z, out=g_ah)
+        g_ah *= one_minus_ht2[t]
+        np.matmul(g_ah, u_h.T, out=g_rh)
+        g_ar = gxr[t]
+        np.multiply(g_rh, h_prev, out=g_ar)
+        g_ar *= r
+        g_ar *= one_r
+        g_az = gxz[t]
+        np.multiply(gz, z, out=g_az)
+        g_az *= one_z
+        if gu_z is None:
+            gu_z, gu_r, gu_h = h_prev.T @ g_az, h_prev.T @ g_ar, rh.T @ g_ah
+        else:
+            for acc, a, ga in ((gu_z, h_prev, g_az), (gu_r, h_prev, g_ar),
+                               (gu_h, rh, g_ah)):
+                np.matmul(a.T, ga, out=step)
+                acc += step
+        # Into h_prev in reverse record order: (1 - z) * h, r * h, @ u_r, @ u_z.
+        gh *= one_z
+        np.multiply(g_rh, r, out=tmp)
+        gh += tmp
+        np.matmul(g_ar, u_r.T, out=tmp)
+        gh += tmp
+        np.matmul(g_az, u_z.T, out=tmp)
+        gh += tmp
+    return gxz, gxr, gxh, gh, gu_z, gu_r, gu_h
+
+
+# The tape primitive takes batch-major (B, L, d) projections, as the batched
+# input matmuls produce them, and moves them to time-major inside.
+
+def _fw_gru_scan(params, xz, xr, xh, h0, u_z, u_r, u_h):
+    arrays = (xz, xr, xh, h0, u_z, u_r, u_h)
+    _screen_gru_inputs(arrays, batch_axis=0)
+    save = params["save"]
+    out, steps = _gru_forward(swap_time(xz), swap_time(xr), swap_time(xh),
+                              h0, u_z, u_r, u_h, save)
+    return swap_time(out), ((out, steps, h0, u_z, u_r, u_h) if save else None)
 
 
 def _vjp_gru_scan(g, saved, params, shapes):
-    steps, u_z, u_r, u_h = saved
-    gxz, gxr, gxh = (np.zeros(shapes[i]) for i in range(3))
-    gu_z = gu_r = gu_h = None
-    gh = None
-    for t in range(len(steps) - 1, -1, -1):
-        z, r, h_tilde, h_prev, rh = steps[t]
-        # The output's own gradient arrives after the next step's.
-        gh = g[:, t] if gh is None else gh + g[:, t]
-        gz = gh * h_tilde + (-(gh * h_prev))
-        g_ah = (gh * z) * (1.0 - h_tilde * h_tilde)
-        g_rh = g_ah @ u_h.T
-        g_ar = (g_rh * h_prev) * r * (1.0 - r)
-        g_az = gz * z * (1.0 - z)
-        gxz[:, t], gxr[:, t], gxh[:, t] = g_az, g_ar, g_ah
-        step_uz, step_ur, step_uh = h_prev.T @ g_az, h_prev.T @ g_ar, rh.T @ g_ah
-        if gu_z is None:
-            gu_z, gu_r, gu_h = step_uz, step_ur, step_uh
-        else:
-            gu_z, gu_r, gu_h = gu_z + step_uz, gu_r + step_ur, gu_h + step_uh
-        # Into h_prev in reverse record order: (1 - z) * h, r * h, @ u_r, @ u_z.
-        gh = gh * (1.0 - z) + (g_rh * r) + g_ar @ u_r.T + g_az @ u_z.T
-    return gxz, gxr, gxh, gh, gu_z, gu_r, gu_h
+    grads = _gru_backward(swap_time(g), *saved)
+    return tuple(swap_time(a) for a in grads[:3]) + grads[3:]
+
+
+def gru_scan_time_major(xz: np.ndarray, xr: np.ndarray, xh: np.ndarray,
+                        h0: np.ndarray, u_z: np.ndarray, u_r: np.ndarray,
+                        u_h: np.ndarray) -> np.ndarray:
+    """Untaped GRU states (L, B, d) from time-major projections (L, B, d).
+
+    The inference entry to the same kernel as `gru_scan`, with the same
+    shape and finiteness screens; nothing is saved and nothing is recorded.
+    """
+    arrays = (xz, xr, xh, h0, u_z, u_r, u_h)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _screen_gru_inputs(arrays, batch_axis=1)
+        out, _ = _gru_forward(xz, xr, xh, h0, u_z, u_r, u_h, save=False)
+    _check_finite("gru_scan", out)
+    return out
 
 
 for _name, _f, _v in [
@@ -862,8 +967,9 @@ def gru_scan(xz: Tensor, xr: Tensor, xh: Tensor, h0: Tensor,
     """GRU hidden states (B, L, d) from input projections x @ w + b, each
     (B, L, d), the initial state h0 (B, d) and the recurrent weights (d, d).
 
-    Per-step activations are kept for the backward pass only when the call
-    is recorded on a tape.
+    The scan itself runs time-major (see `gru_scan_time_major`). Per-step
+    activations are kept for the backward pass only when the call is
+    recorded on a tape.
     """
     inputs = (xz, xr, xh, h0, u_z, u_r, u_h)
     save = active_tape() is not None and any(t.requires_grad for t in inputs)

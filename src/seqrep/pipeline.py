@@ -338,20 +338,25 @@ def splice_analysis(cfg: Config, model, clients: Sequence[ClientSequence],
     if len(usable) < 2:
         raise ValueError("need at least two clients long enough to splice")
 
-    curves = {"converge": {o: [] for o in offsets},
-              "diverge": {o: [] for o in offsets}}
-    made = 0
+    modes = ("converge", "diverge")
+    # Per pair: the donor A, then each splice with its boundary.
+    pairs = []
     for _ in range(n_pairs):
         i, j = rng.choice(len(usable), size=2, replace=False)
         length = min(len(usable[i]), len(usable[j]))
         a = _crop_seq(usable[i], length)
         b = _crop_seq(usable[j], length)
-        donor_emb = sliding_window_embed_many(
-            model.encoder, [a], window, stride, model.pool_strategy)[0]
-        for mode in ("converge", "diverge"):
-            spliced, tau = splice_pair(a, b, mode)
-            emb_s = sliding_window_embed_many(
-                model.encoder, [spliced], window, stride, model.pool_strategy)[0]
+        pairs.append([(a, 0)] + [splice_pair(a, b, mode) for mode in modes])
+    # Every donor and splice in one encoder call.
+    embs = iter(sliding_window_embed_many(
+        model.encoder, [seq for group in pairs for seq, _ in group], window, stride,
+        model.pool_strategy))
+
+    curves = {mode: {o: [] for o in offsets} for mode in modes}
+    for group in pairs:
+        donor_emb = next(embs)
+        for mode, (_, tau) in zip(modes, group[1:]):
+            emb_s = next(embs)
             if len(emb_s) == 0 or len(donor_emb) == 0:
                 continue
             tw = window_index(tau, window, stride)
@@ -361,8 +366,7 @@ def splice_analysis(cfg: Config, model, clients: Sequence[ClientSequence],
                 k = tw + o
                 if 0 <= k < n:
                     curves[mode][o].append(float(curve[k]))
-        made += 1
-    if made == 0:
+    if not pairs:
         raise ValueError("could not build any splice pairs")
 
     def summarize(mode: str) -> dict:
@@ -373,7 +377,7 @@ def splice_analysis(cfg: Config, model, clients: Sequence[ClientSequence],
 
     return {
         "config_digest": cfg.digest,
-        "n_pairs": made,
+        "n_pairs": len(pairs),
         "window": window,
         "stride": stride,
         "offsets": list(offsets),

@@ -28,6 +28,7 @@ from seqrep.nn import (
     NonFiniteError,
     ShapeError,
     Tape,
+    TapeError,
     Tensor,
     add,
     backward,
@@ -352,6 +353,102 @@ def test_transformer_chunks_fit_their_budget(txf, rng, monkeypatch):
     assert sum(b for b, _ in shapes) == 4 * len(lengths)
     for b, width in shapes:
         assert b == 1 or b * txf.config.heads * (width + 1) ** 2 * 8 <= budget
+
+
+def blas_rows_are_independent(k, d):
+    """Whether each row of an (m, k) @ (k, d) product has the same bits at
+    every row count m >= 2. OpenBLAS's AVX-512 kernels round a row
+    differently by where the row count leaves it for some shapes (k >= 16
+    with d % 8 in 1-3, or k >= 8 with d == 1); blocked rows can only match
+    the padded forward bit for bit where this holds."""
+    rng = np.random.default_rng(0)
+    a, w = rng.normal(size=(48, k)), rng.normal(size=(k, d))
+    full = a @ w
+    return all(np.array_equal(a[:m] @ w, full[:m]) for m in range(2, 48))
+
+
+def sweep_case(seed):
+    """Widths cycle through hidden 1-40 and d_in 1-16; every sixth batch is
+    one row and every fifth one step wide."""
+    rng = np.random.default_rng((91, seed))
+    strategy = POOL_STRATEGIES[seed % 4]
+    hidden = 1 + (7 * seed) % 40
+    if strategy == "mean":
+        # A width-1 mean sums its steps pairwise in pool_padded.
+        hidden = max(hidden, 2)
+    d_in = 1 + (5 * seed) % 16
+    b = 1 if seed % 6 == 0 else int(rng.integers(2, 80))
+    width = 1 if seed % 5 == 0 else int(rng.integers(2, 60))
+    lengths = rng.integers(1, width + 1, size=b)
+    lengths[rng.integers(b)] = width
+    mcc, amt, lengths = padded(rng, lengths)
+    encoder = GruEncoder(EncoderConfig(n_indices=9, d_emb=d_in - 1, hidden=hidden),
+                         seed=seed)
+    return encoder, mcc, amt, lengths, strategy
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_gru_blocked_pooling_matches_the_padded_forward_at_any_width(seed):
+    encoder, mcc, amt, lengths, strategy = sweep_case(seed)
+    hidden, _ = encoder.forward(mcc, amt, lengths)
+    want = pool_padded(hidden.data, lengths, strategy)
+    got = embed_pooled(encoder, mcc, amt, lengths, strategy)
+    d_in, d = encoder.config.input_width, encoder.hidden
+    if blas_rows_are_independent(d_in, d) and blas_rows_are_independent(d, d):
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_width_sweep_is_mostly_exact():
+    """The sweep above checks bit-identity, not only closeness, in most cases."""
+    exact = [blas_rows_are_independent(e.config.input_width, e.hidden)
+             and blas_rows_are_independent(e.hidden, e.hidden)
+             for e, *_ in map(sweep_case, range(48))]
+    assert sum(exact) >= 32, sum(exact)
+
+
+def fresh_gru(seed=0):
+    return GruEncoder(EncoderConfig(n_indices=9, d_emb=6, hidden=10), seed=seed)
+
+
+def test_pooled_inference_rejects_an_inf_recurrent_weight(rng):
+    encoder = fresh_gru()
+    encoder.gates["u_z"].data[0, 0] = np.inf
+    mcc, amt, lengths = padded(rng, [9, 4, 6])
+    with pytest.raises(NonFiniteError, match="'gru_scan' input u_z"):
+        embed_pooled(encoder, mcc, amt, lengths, "last")
+
+
+def test_pooled_inference_rejects_an_inf_embedding_row_it_reads(rng):
+    encoder = fresh_gru()
+    encoder.emb_table.data[3] = np.inf
+    mcc, amt, lengths = padded(rng, [9, 4, 6])
+    mcc[mcc == 3] = 4
+    # A batch that never reads the row is unaffected.
+    assert np.all(np.isfinite(embed_pooled(encoder, mcc, amt, lengths, "mean")))
+    mcc[1, 2] = 3
+    with pytest.raises(NonFiniteError, match="'gather'"):
+        embed_pooled(encoder, mcc, amt, lengths, "mean")
+
+
+def test_pooled_inference_rejects_an_overflowing_projection(rng):
+    encoder = fresh_gru()
+    encoder.gates["w_h"].data[-1] = 1e308
+    mcc, amt, lengths = padded(rng, [9, 4, 6])
+    amt[0, 0] = 10.0
+    with pytest.raises(NonFiniteError, match="'gru_scan' input xh"):
+        embed_pooled(encoder, mcc, amt, lengths, "max")
+
+
+def test_time_major_scan_is_inference_only(rng):
+    core = GruCore(rng, 3, 4)
+    x = Tensor(rng.normal(size=(5, 2, 3)))
+    states = core.scan(x, time_major=True).data
+    assert np.array_equal(states, core.scan(Tensor(x.data.transpose(1, 0, 2))).data
+                          .transpose(1, 0, 2))
+    with Tape(), pytest.raises(TapeError, match="inference only"):
+        core.scan(x, time_major=True)
 
 
 def test_gru_inference_memory_does_not_grow_with_history(rng):

@@ -11,6 +11,7 @@ from seqrep.data.ingest import (
     write_transactions_csv,
 )
 import seqrep.evaluation.protocol as protocol
+import seqrep.pipeline as pipeline
 from seqrep.config import make_probe_config
 from seqrep.context import global_augmenter, window_augmenter
 from seqrep.evaluation.heads import MetricReport
@@ -21,9 +22,13 @@ from seqrep.evaluation.protocol import (
     next_code_dataset,
 )
 from seqrep.evaluation.windows import sliding_window_embed_many
+from seqrep.data.splice import splice_pair
+from seqrep.evaluation.cpd import pair_distance_curve
+from seqrep.evaluation.windows import window_index
 from seqrep.pipeline import (
     TASKS,
     Splits,
+    _crop_seq,
     build_context,
     compare_objectives,
     cpd_analysis,
@@ -299,6 +304,57 @@ def test_splice_analysis_payload(tiny_splits, ar_model):
     assert out["offsets"] == [-2, 0, 2]
     assert set(out["converge_mean_distance"]) == {"-2", "0", "2"}
     assert set(out["diverge_mean_distance"]) == {"-2", "0", "2"}
+
+
+def splice_analysis_per_call(cfg, model, clients, n_pairs, seed, offsets):
+    """splice_analysis with one encoder call per donor and per splice, as it
+    was written before it embedded a study in one call: the == oracle."""
+    window, stride = cfg.get("eval.window"), cfg.get("eval.stride")
+    rng = np.random.default_rng((seed, 41))
+    usable = [c for c in clients if len(c) >= 2 * window]
+    curves = {"converge": {o: [] for o in offsets}, "diverge": {o: [] for o in offsets}}
+    for _ in range(n_pairs):
+        i, j = rng.choice(len(usable), size=2, replace=False)
+        length = min(len(usable[i]), len(usable[j]))
+        a, b = _crop_seq(usable[i], length), _crop_seq(usable[j], length)
+        donor = sliding_window_embed_many(model.encoder, [a], window, stride,
+                                          model.pool_strategy)[0]
+        for mode in ("converge", "diverge"):
+            spliced, tau = splice_pair(a, b, mode)
+            emb = sliding_window_embed_many(model.encoder, [spliced], window, stride,
+                                            model.pool_strategy)[0]
+            if len(emb) == 0 or len(donor) == 0:
+                continue
+            n = min(len(emb), len(donor))
+            curve = pair_distance_curve(emb.matrix[:n], donor.matrix[:n])
+            for o in offsets:
+                k = window_index(tau, window, stride) + o
+                if 0 <= k < n:
+                    curves[mode][o].append(float(curve[k]))
+    return {mode: {str(o): float(np.mean(v)) if v else None for o, v in c.items()}
+            for mode, c in curves.items()}
+
+
+def test_splice_analysis_embeds_a_study_in_one_call_with_the_same_report(
+        tiny_splits, ar_model, monkeypatch):
+    cfg = small_config(**{"eval.window": 16, "eval.stride": 8})
+    offsets = (-4, -2, 0, 2, 4, 10, 20)
+    want = splice_analysis_per_call(cfg, ar_model, tiny_splits.train, 7, 3, offsets)
+    calls = []
+    real = pipeline.sliding_window_embed_many
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sliding_window_embed_many", counted)
+    out = splice_analysis(cfg, ar_model, tiny_splits.train, n_pairs=7, seed=3,
+                          offsets=offsets)
+    assert calls == [3 * 7]
+    assert out["n_pairs"] == 7
+    assert out["converge_mean_distance"] == want["converge"]
+    assert out["diverge_mean_distance"] == want["diverge"]
+    assert any(v is not None for v in want["diverge"].values())
 
 
 def test_splice_analysis_needs_long_clients(tiny_cfg, tiny_splits, ar_model):

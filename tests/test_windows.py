@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqrep.evaluation.windows as windows
 from seqrep.data import ClientSequence
 from seqrep.encoders import EncoderConfig, GruEncoder
 from seqrep.evaluation.windows import (
@@ -105,3 +106,49 @@ def test_short_sequence_yields_empty_embedding(encoder):
                                     "last")[0]
     assert emb.matrix.shape == (0, 8)
     assert len(emb.ends) == 0
+
+
+def loop_window_batch(seqs, window, stride):
+    """The padded window batch built one slice per window: the == oracle."""
+    mcc, amt = [], []
+    for seq in seqs:
+        for end in window_ends(len(seq), window, stride):
+            mcc.append(seq.mcc_idx[end - window : end])
+            amt.append(seq.amounts_t[end - window : end])
+    return np.stack(mcc), np.stack(amt)
+
+
+@pytest.mark.parametrize("window, stride", [(16, 8), (5, 9), (7, 1), (6, 6)])
+def test_window_batch_equals_per_window_slices(window, stride, encoder, rng,
+                                              monkeypatch):
+    """One index gather per client gives the batch the per-window slices
+    give, with clients shorter than the window and strides past it."""
+    seqs = []
+    for i, n in enumerate((3, 40, 16, 29, 5, 17, 6)):
+        seq = seq_of(rng.integers(1, 10, size=n), f"c{i}")
+        seqs.append(ClientSequence(client_id=seq.client_id, timestamps=seq.timestamps,
+                                   mcc=seq.mcc, amounts=rng.normal(size=n) * 40.0,
+                                   mcc_idx=seq.mcc_idx))
+    batches = []
+    real = windows.embed_pooled
+
+    def spy(enc, mcc, amt, lengths, pool):
+        batches.append((mcc, amt, lengths))
+        return real(enc, mcc, amt, lengths, pool)
+
+    monkeypatch.setattr(windows, "embed_pooled", spy)
+    embs = sliding_window_embed_many(encoder, seqs, window, stride, "last")
+    (mcc, amt, lengths), = batches
+    want_mcc, want_amt = loop_window_batch(seqs, window, stride)
+    assert mcc.dtype == want_mcc.dtype and np.array_equal(mcc, want_mcc)
+    assert amt.dtype == want_amt.dtype and np.array_equal(amt, want_amt)
+    assert np.array_equal(lengths, np.full(len(want_mcc), window))
+    for seq, emb in zip(seqs, embs):
+        np.testing.assert_array_equal(emb.ends, window_ends(len(seq), window, stride))
+    assert sum(len(emb) for emb in embs) == len(want_mcc)
+
+
+def test_no_complete_window_makes_no_encoder_call(encoder, monkeypatch):
+    monkeypatch.setattr(windows, "embed_pooled", None)
+    embs = sliding_window_embed_many(encoder, [seq_of([1, 2, 3]), seq_of([4])], 5, 2)
+    assert [emb.matrix.shape for emb in embs] == [(0, 8), (0, 8)]
