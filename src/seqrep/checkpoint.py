@@ -290,19 +290,11 @@ def model_meta(model, vocab: MccVocab,
 
 
 def save_model(path: str | os.PathLike, model, vocab: MccVocab, digest: str,
-               n_classes: Optional[int] = None,
-               store: Optional[EmbeddingStore] = None,
-               extra_tensors: Optional[dict[str, np.ndarray]] = None) -> None:
+               n_classes: Optional[int] = None) -> None:
     """Save a trained objective model plus its vocabulary."""
-    tensors = {name: p.data for name, p in model.parameters()}
-    if extra_tensors:
-        overlap = set(tensors) & set(extra_tensors)
-        if overlap:
-            raise CheckpointError(f"extra tensors collide with model: {sorted(overlap)}")
-        tensors.update(extra_tensors)
-    save_checkpoint(path, digest, tensors=tensors,
-                    meta=model_meta(model, vocab, n_classes),
-                    vocab=vocab, store=store)
+    save_checkpoint(path, digest,
+                    tensors={name: p.data for name, p in model.parameters()},
+                    meta=model_meta(model, vocab, n_classes), vocab=vocab)
 
 
 def load_model(path: str | os.PathLike, expected_digest: Optional[str] = None,
@@ -331,12 +323,11 @@ def load_model(path: str | os.PathLike, expected_digest: Optional[str] = None,
             blocks=int(enc["blocks"]), heads=int(enc["heads"]), ff=int(enc["ff"]),
         )
         objective = str(meta["objective"])
-        pool = str(meta["pool"])
-        head_hidden = int(meta.get("head_hidden", 64))
         n_classes = meta.get("n_classes")
+        cfg = TrainConfig(pool=str(meta["pool"]),
+                          head_hidden=int(meta.get("head_hidden", 64)))
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointFormatError(f"{os.fspath(path)}: malformed META: {err}") from err
-    cfg = TrainConfig(pool=pool, head_hidden=head_hidden)
     model = build_model(objective, enc_cfg, cfg, seed=0,
                         n_classes=None if n_classes is None else int(n_classes))
     named = dict(model.parameters())

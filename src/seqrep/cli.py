@@ -2,8 +2,12 @@
 
 Subcommands cover the full workflow: generate data, train an objective,
 export embeddings, build a context store, evaluate, detect change points,
-and merge reports. Exit codes: 0 success, 1 operational failure (bad file,
-digest mismatch, invalid data), 2 usage error (argparse).
+and merge reports. Three more run the paper's studies: `compare` retrains
+several objectives across seeds, `context-ablation` scores the local probe
+under each context aggregation, and `splice` traces embedding distances
+around spliced histories (with `cpd`, the change-point study). Exit codes:
+0 success, 1 operational failure (bad file, digest mismatch, invalid data),
+2 usage error (argparse).
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import (
     CheckpointError,
@@ -24,7 +26,13 @@ from .checkpoint import (
     save_checkpoint,
     save_model,
 )
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, make_probe_config
+from .context import (
+    AGGREGATION_METHODS,
+    build_store,
+    train_attention_matrix,
+    window_augmenter,
+)
 from .data.ingest import (
     IngestError,
     write_change_points_csv,
@@ -32,20 +40,30 @@ from .data.ingest import (
     write_local_labels_csv,
     write_transactions_csv,
 )
-from .evaluation.protocol import global_embeddings
+from .evaluation.protocol import (
+    EmbeddedSplits,
+    eval_local_binary,
+    global_embeddings,
+    local_window_dataset,
+)
 from .evaluation.windows import sliding_window_embed_many
+from .objectives.models import OBJECTIVES
 from .pipeline import (
+    TASKS,
     build_context,
+    compare_objectives,
     cpd_analysis,
     evaluate_model,
     load_dataset,
     prepare_splits,
+    splice_analysis,
     train_model,
 )
 from .report import (
     merge_reports,
     read_report,
     write_curve_csv,
+    write_distance_curve,
     write_margin_curve,
     write_report,
 )
@@ -85,6 +103,20 @@ def _splits(cfg, args):
 def _load_model_checked(cfg, args):
     return load_model(args.checkpoint, expected_digest=cfg.digest,
                       allow_digest_mismatch=args.allow_digest_mismatch)
+
+
+def _names(text: str, allowed, what: str) -> list[str]:
+    """Comma-separated names, each one of `allowed`."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    unknown = sorted(set(names) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what}(s) {unknown}; expected some of {list(allowed)}")
+    return names
+
+
+def _beside(out: str, suffix: str) -> str:
+    """`x/report.json` -> `x/report<suffix>`."""
+    return Path(out).with_suffix("").as_posix() + suffix
 
 
 def cmd_generate(args) -> int:
@@ -197,10 +229,99 @@ def cmd_cpd(args) -> int:
     payload, sweep = cpd_analysis(cfg, model, splits.all_clients)
     timings = {"total_seconds": time.perf_counter() - t0}
     write_report(args.out, payload, timings)
-    curve_path = Path(args.out).with_suffix("").as_posix() + ".am.csv"
+    curve_path = _beside(args.out, ".am.csv")
     write_margin_curve(curve_path, [m for m, _ in sweep], [a for _, a in sweep])
     logger.info("wrote %s and %s (delay %.3f windows)",
                 args.out, curve_path, payload["detection_delay"])
+    return 0
+
+
+def cmd_splice(args) -> int:
+    cfg = load_config(args.config)
+    model, _ = _load_model_checked(cfg, args)
+    splits = _splits(cfg, args)
+    clean = [c for c in splits.all_clients if c.change_point is None]
+    t0 = time.perf_counter()
+    payload = splice_analysis(cfg, model, clean, n_pairs=args.pairs, seed=args.seed)
+    write_report(args.out, payload, {"total_seconds": time.perf_counter() - t0})
+    for mode in ("converge", "diverge"):
+        curve = payload[f"{mode}_mean_distance"]
+        points = sorted((int(o), d) for o, d in curve.items() if d is not None)
+        write_distance_curve(_beside(args.out, f".{mode}.csv"),
+                             [o for o, _ in points], [d for _, d in points])
+    logger.info("wrote %s and its converge/diverge curves", args.out)
+    return 0
+
+
+def cmd_compare(args) -> int:
+    cfg = load_config(args.config)
+    objectives = _names(args.objectives, OBJECTIVES, "objective")
+    seeds = [int(s) for s in args.seeds.split(",")]
+    tasks = _names(args.tasks, [t for t in TASKS if not t.endswith("_context")],
+                   "task")
+    splits = _splits(cfg, args)
+    t0 = time.perf_counter()
+    results = compare_objectives(cfg, splits, objectives, seeds, tasks=tasks)
+    payload = {
+        "config_digest": cfg.digest,
+        "seeds": seeds,
+        "clients": splits.counts(),
+        "objectives": {
+            obj: {task: rep.summary() for task, rep in by_task.items()}
+            for obj, by_task in results.items()
+        },
+    }
+    write_report(args.out, payload, {"total_seconds": time.perf_counter() - t0})
+    for obj, by_task in results.items():
+        logger.info("%s roc_auc: %s", obj, {
+            task: f"{rep.mean()['roc_auc']:.4f}±{rep.std()['roc_auc']:.3f}"
+            for task, rep in by_task.items()})
+    logger.info("wrote %s", args.out)
+    return 0
+
+
+def cmd_context_ablation(args) -> int:
+    cfg = load_config(args.config)
+    methods = _names(args.methods, AGGREGATION_METHODS, "method")
+    model, _ = _load_model_checked(cfg, args)
+    splits = _splits(cfg, args)
+    window = cfg.get("eval.window")
+    stride = cfg.get("eval.stride")
+    probe_cfg = make_probe_config(cfg)
+    t0 = time.perf_counter()
+    store = build_store(model, splits.train,
+                        max_clients=cfg.get("context.store_size"),
+                        window=window, stride=stride, seed=args.seed)
+    emb = EmbeddedSplits(model, splits.train, splits.val, splits.test,
+                         window, stride)
+
+    def score(augment=lambda windows: windows) -> dict:
+        fit, test = (local_window_dataset(emb.clients[s], augment(emb.windows(s)))
+                     for s in ("train", "test"))
+        return eval_local_binary(fit, test, probe_cfg, seed=args.seed)
+
+    rows = {"none": score()}
+    for method in methods:
+        a = None
+        if method == "learnable":
+            a, _ = train_attention_matrix(
+                model, store, splits.train,
+                epochs=cfg.get("context.attn_epochs"),
+                lr=cfg.get("context.attn_lr"), seed=args.seed)
+        rows[method] = score(window_augmenter(store, method, a))
+    payload = {
+        "config_digest": cfg.digest,
+        "objective": model.objective,
+        "seed": args.seed,
+        "store_clients": len(store),
+        "local_binary": rows,
+    }
+    write_report(args.out, payload, {"total_seconds": time.perf_counter() - t0})
+    base = rows["none"]["roc_auc"]
+    for name, metrics in rows.items():
+        logger.info("%-10s roc_auc %.4f (gain %+.4f)", name, metrics["roc_auc"],
+                    metrics["roc_auc"] - base)
+    logger.info("wrote %s", args.out)
     return 0
 
 
@@ -260,6 +381,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, checkpoint=True)
     p.add_argument("--out", required=True, help="report JSON to write")
     p.set_defaults(fn=cmd_cpd)
+
+    p = sub.add_parser("splice", help="distance curves around spliced histories")
+    _add_common(p, checkpoint=True)
+    p.add_argument("--out", required=True, help="report JSON to write")
+    p.add_argument("--pairs", type=int, default=100, help="spliced pairs per mode")
+    p.set_defaults(fn=cmd_splice)
+
+    p = sub.add_parser("compare", help="retrain objectives across seeds and probe them")
+    p.add_argument("--config", help="configuration file (defaults used if omitted)")
+    p.add_argument("--quiet", action="store_true", help="only warnings and errors")
+    p.add_argument("--data", help="directory of CSV inputs (default: synthetic)")
+    p.add_argument("--out", required=True, help="report JSON to write")
+    p.add_argument("--objectives", default="ar,coles",
+                   help="comma-separated objectives to retrain")
+    p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    p.add_argument("--tasks", default="global,next_mcc",
+                   help="probing tasks: global, local_binary, next_mcc")
+    p.set_defaults(fn=cmd_compare)
+
+    p = sub.add_parser("context-ablation",
+                       help="local probe with each context aggregation")
+    _add_common(p, checkpoint=True)
+    p.add_argument("--out", required=True, help="report JSON to write")
+    p.add_argument("--methods", default=",".join(AGGREGATION_METHODS),
+                   help="comma-separated aggregation methods to ablate")
+    p.set_defaults(fn=cmd_context_ablation)
 
     p = sub.add_parser("report", help="merge evaluation reports")
     p.add_argument("inputs", nargs="+", help="report JSON files")

@@ -56,7 +56,6 @@ __all__ = [
     "GruCore",
     "GruEncoder",
     "TransformerEncoder",
-    "build_encoder",
     "embed_batch",
     "gru_cell",
     "encode_sequence",
@@ -90,13 +89,10 @@ class EncoderConfig:
     blocks: int = 2
     heads: int = 4
     ff: int = 128
-    pool: str = "last"
 
     def __post_init__(self):
         if self.arch not in ("gru", "transformer"):
             raise ValueError(f"unknown encoder arch {self.arch!r}")
-        if self.pool not in POOL_STRATEGIES:
-            raise ValueError(f"unknown pooling strategy {self.pool!r}")
         if self.arch == "transformer" and self.hidden % self.heads != 0:
             raise ValueError(
                 f"hidden width {self.hidden} not divisible by {self.heads} heads"
@@ -485,12 +481,6 @@ class TransformerEncoder:
             out[idx] = pool_padded(hidden.data, lengths[idx], strategy, cls_out.data)
             lo += len(idx)
         return out
-
-
-def build_encoder(config: EncoderConfig, seed: int = 0):
-    if config.arch == "gru":
-        return GruEncoder(config, seed)
-    return TransformerEncoder(config, seed)
 
 
 def encode_sequence(encoder, seq: ClientSequence) -> HiddenSequence:

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "MIN_SEGMENT",
     "ChangePointResult",
-    "cosine_distance",
     "normalize_matrix",
     "detect_change_point",
     "detection_delay",
@@ -33,15 +32,6 @@ def normalize_matrix(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     norms = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + _EPS)
     return x / norms
-
-
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cosine similarity; zero vectors give distance 1."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.sqrt(np.sum(u * u) + _EPS)
-    nv = np.sqrt(np.sum(v * v) + _EPS)
-    return float(1.0 - np.dot(u, v) / (nu * nv))
 
 
 @dataclass

@@ -2,29 +2,25 @@
 
 A probe is a small two-layer classifier trained on fixed embedding matrices.
 Probes never touch the encoder, so probe quality measures the representation,
-not further feature learning. `run_seeds` fans independent seeds out over a
-thread pool sized by the SEQREP_THREADS environment variable (default 1) and
-always returns results in seed order.
+not further feature learning. `run_seeds` evaluates one function per seed
+and collects the results in seed order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..encoders import Linear
-from ..nn import Adam, Tape, Tensor, log_softmax, matmul, multiply, reduce_sum, relu, scalar_multiply, softmax
+from ..nn import Adam, Tape, Tensor, log_softmax, multiply, reduce_sum, relu, scalar_multiply, softmax
 from ..objectives.train import named_grads
 
 __all__ = [
     "ProbeConfig",
     "MlpProbe",
     "MetricReport",
-    "n_threads",
     "run_seeds",
 ]
 
@@ -134,31 +130,15 @@ class MetricReport:
         }
 
 
-def n_threads() -> int:
-    """Worker-thread cap from SEQREP_THREADS (default 1, floor 1)."""
-    raw = os.environ.get("SEQREP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"SEQREP_THREADS must be an integer, got {raw!r}")
-
-
 def run_seeds(fn: Callable[[int], dict[str, float]],
               seeds: Sequence[int]) -> MetricReport:
-    """Evaluate `fn(seed)` for every seed, optionally on a thread pool."""
+    """Evaluate `fn(seed)` for every seed, in order."""
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seeds")
     report = MetricReport()
-    workers = min(n_threads(), len(seeds))
-    if workers == 1:
-        for s in seeds:
-            report.add(s, fn(s))
-        return report
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(fn, seeds))
-    for s, metrics in zip(seeds, results):
-        report.add(s, metrics)
+    for s in seeds:
+        report.add(s, fn(s))
     return report

@@ -101,8 +101,7 @@ class EmbeddedSplits:
     `globals(split)` embeds the "fit" (train + validation) or "test" clients'
     whole histories. With `context=True` both return the plain embeddings
     widened by the matching augmenter, applied once per split. Nothing is
-    embedded before it is asked for, and nothing twice. Filling is not
-    locked: build the task matrices before fanning probes out over threads.
+    embedded before it is asked for, and nothing twice.
     """
 
     def __init__(self, model, train: Sequence[ClientSequence],

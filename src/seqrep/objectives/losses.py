@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..nn import (
@@ -29,8 +27,6 @@ __all__ = [
     "normalize_rows",
     "contrastive_loss",
     "ts2vec_hierarchical_loss",
-    "LossBreakdown",
-    "joint_loss",
     "masked_joint_loss",
 ]
 
@@ -143,44 +139,6 @@ def ts2vec_hierarchical_loss(z1: Tensor, z2: Tensor, alpha: float = 0.5) -> Tens
     return scalar_multiply(total, 1.0 / len(terms))
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    ce: float
-    mse: float
-    total: float
-
-
-def joint_loss(
-    mcc_logits: Tensor,
-    amount_pred: Tensor,
-    mcc_targets: np.ndarray,
-    amount_targets: np.ndarray,
-    weights: tuple[float, float] = (5.0, 1.0),
-) -> tuple[Tensor, LossBreakdown]:
-    """weights[0] * mean CE over codes + weights[1] * mean squared amount error."""
-    n, v = mcc_logits.shape
-    if n == 0:
-        raise ValueError("joint loss over an empty position set")
-    targets = np.asarray(mcc_targets, dtype=np.int64)
-    amounts = np.asarray(amount_targets, dtype=np.float64)
-    if len(targets) != n or len(amounts) != n:
-        raise ValueError("target lengths do not match prediction count")
-    if targets.min() < 0 or targets.max() >= v:
-        raise ValueError(f"code target outside [0, {v})")
-
-    onehot = np.zeros((n, v))
-    onehot[np.arange(n), targets] = 1.0
-    ls = log_softmax(mcc_logits)
-    ce = scalar_multiply(reduce_sum(multiply(ls, Tensor(onehot))), -1.0 / n)
-
-    pred = reshape(amount_pred, (n,))
-    diff = subtract(pred, Tensor(amounts))
-    mse = scalar_multiply(reduce_sum(multiply(diff, diff)), 1.0 / n)
-
-    total = add(scalar_multiply(ce, weights[0]), scalar_multiply(mse, weights[1]))
-    return total, LossBreakdown(ce=ce.item(), mse=mse.item(), total=total.item())
-
-
 def masked_joint_loss(
     mcc_logits: Tensor,
     amount_pred: Tensor,
@@ -188,11 +146,12 @@ def masked_joint_loss(
     amount_targets: np.ndarray,
     valid: np.ndarray,
     weights: tuple[float, float] = (5.0, 1.0),
-) -> tuple[Tensor, LossBreakdown]:
-    """joint_loss over a padded (B, L) layout, averaging valid positions only.
+) -> Tensor:
+    """weights[0] * mean CE over codes + weights[1] * mean squared amount error.
 
-    Padded rows still flow through log-softmax (cheap, finite) but are
-    multiplied out of both terms.
+    Predictions are laid out (B, L, ...) and only positions where `valid` is
+    set count toward either mean. Padded rows still flow through log-softmax
+    (cheap, finite) but are multiplied out of both terms.
     """
     b, length, v = mcc_logits.shape
     mask = np.asarray(valid, dtype=np.float64)
@@ -214,5 +173,4 @@ def masked_joint_loss(
     diff = multiply(diff, Tensor(mask))
     mse = scalar_multiply(reduce_sum(multiply(diff, diff)), 1.0 / count)
 
-    total = add(scalar_multiply(ce, weights[0]), scalar_multiply(mse, weights[1]))
-    return total, LossBreakdown(ce=ce.item(), mse=mse.item(), total=total.item())
+    return add(scalar_multiply(ce, weights[0]), scalar_multiply(mse, weights[1]))

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..data.types import ClientSequence
 from ..encoders import (
+    POOL_STRATEGIES,
     EncoderConfig,
     GruCore,
     GruEncoder,
@@ -25,9 +26,7 @@ from ..encoders import (
 )
 from ..nn import Tensor, log_softmax, matmul, multiply, reduce_sum, relu, reshape, scalar_multiply
 from .losses import (
-    LossBreakdown,
     contrastive_loss,
-    joint_loss,
     masked_joint_loss,
     normalize_rows,
     ts2vec_hierarchical_loss,
@@ -79,6 +78,9 @@ class TrainConfig:
             raise ValueError("batch sizes must be positive")
         if self.max_len < 2:
             raise ValueError("max_len must be at least 2")
+        if self.pool != "auto" and self.pool not in POOL_STRATEGIES:
+            raise ValueError(f"train.pool must be 'auto' or one of {POOL_STRATEGIES}, "
+                             f"got {self.pool!r}")
 
     @property
     def mlm_action_probs(self) -> tuple[float, float, float]:
@@ -327,10 +329,6 @@ class ArModel(_GruObjective):
         return batches
 
     def loss(self, batch: dict) -> Tensor:
-        total, _ = self.loss_with_breakdown(batch)
-        return total
-
-    def loss_with_breakdown(self, batch: dict) -> tuple[Tensor, LossBreakdown]:
         hidden, _ = self.encoder.forward(batch["mcc"], batch["amt"])
         logits = self.heads.mcc(hidden)
         amounts = self.heads.amount(hidden)
@@ -368,10 +366,6 @@ class AeModel(_GruObjective):
         return batches
 
     def loss(self, batch: dict) -> Tensor:
-        total, _ = self.loss_with_breakdown(batch)
-        return total
-
-    def loss_with_breakdown(self, batch: dict) -> tuple[Tensor, LossBreakdown]:
         mcc, amt, lengths = batch["mcc"], batch["amt"], batch["lengths"]
         b, width = mcc.shape
         hidden, _ = self.encoder.forward(mcc, amt)
@@ -431,22 +425,20 @@ class MlmModel:
         return batches
 
     def loss(self, batch: dict) -> Tensor:
-        total, _ = self.loss_with_breakdown(batch)
-        return total
-
-    def loss_with_breakdown(self, batch: dict) -> tuple[Tensor, LossBreakdown]:
         plan = batch["plan"]
         hidden, _ = self.encoder.forward(batch["mcc"], batch["amt"], batch["lengths"])
         b, width, d = hidden.shape
         flat = reshape(hidden, (b * width, d))
-        sel = np.zeros((len(plan), b * width))
-        sel[np.arange(len(plan)), plan.rows * width + plan.cols] = 1.0
+        n = len(plan)
+        sel = np.zeros((n, b * width))
+        sel[np.arange(n), plan.rows * width + plan.cols] = 1.0
         picked = matmul(Tensor(sel), flat)
-        logits = self.heads.mcc(picked)
-        amounts = self.heads.amount(picked)
-        return joint_loss(
-            logits, amounts, plan.original_mcc, plan.original_amt,
-            weights=self.cfg.joint_weights,
+        # The picked positions form one all-valid row of the padded layout.
+        logits = reshape(self.heads.mcc(picked), (1, n, -1))
+        amounts = reshape(self.heads.amount(picked), (1, n, 1))
+        return masked_joint_loss(
+            logits, amounts, plan.original_mcc[None, :], plan.original_amt[None, :],
+            np.ones((1, n), dtype=bool), weights=self.cfg.joint_weights,
         )
 
 

@@ -1,4 +1,4 @@
-"""Batch construction helpers: slices, crops, corruption, shifted targets."""
+"""Batch construction helpers: contrastive slices, masking corruption, padding."""
 
 from __future__ import annotations
 
@@ -13,11 +13,8 @@ from ..data.types import ClientSequence
 __all__ = [
     "SubsequenceSample",
     "coles_sample_subsequences",
-    "CropPair",
-    "ts2vec_contexts",
     "CorruptionPlan",
     "mlm_corrupt",
-    "ar_targets",
     "pad_batch",
 ]
 
@@ -69,32 +66,6 @@ def coles_sample_subsequences(
             stacklevel=2,
         )
     return out
-
-
-@dataclass(frozen=True)
-class CropPair:
-    """Two overlapping crops of one sequence, with the shared index range."""
-
-    crop1: tuple[int, int]
-    crop2: tuple[int, int]
-    overlap: tuple[int, int]
-
-
-def ts2vec_contexts(length: int, seed: int | np.random.Generator = 0) -> CropPair:
-    """Sample two overlapping crops covering a common sub-range.
-
-    crop1 extends the overlap to the left, crop2 to the right, so the two
-    views see the shared positions under different contexts.
-    """
-    if length < 1:
-        raise ValueError("sequence must be nonempty")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    o_len = int(rng.integers(1, length + 1))
-    o1 = int(rng.integers(0, length - o_len + 1))
-    o2 = o1 + o_len
-    a1 = int(rng.integers(0, o1 + 1))
-    b2 = int(rng.integers(o2, length + 1))
-    return CropPair(crop1=(a1, o2), crop2=(o1, b2), overlap=(o1, o2))
 
 
 @dataclass
@@ -162,15 +133,6 @@ def mlm_corrupt(
             mcc[r, c] = mcc_idx[vrows[j], vcols[j]]
             amt[r, c] = amounts_t[vrows[j], vcols[j]]
     return mcc, amt, plan
-
-
-def ar_targets(seq: ClientSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Next-step targets: position j predicts transaction j+1."""
-    if len(seq) < 2:
-        raise ValueError(f"client {seq.client_id}: need length >= 2 for next-step targets")
-    if seq.mcc_idx is None:
-        raise ValueError(f"client {seq.client_id}: vocabulary not applied")
-    return seq.mcc_idx[1:].copy(), seq.amounts_t[1:].copy()
 
 
 def pad_batch(

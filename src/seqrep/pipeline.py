@@ -1,4 +1,4 @@
-"""End-to-end drivers shared by the command line, scripts, and tests.
+"""End-to-end drivers shared by the command line and tests.
 
 Everything here is a pure function of (config, seed, input files): datasets,
 splits, vocabularies, trained models, evaluation reports, and change-point

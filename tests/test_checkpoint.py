@@ -236,6 +236,17 @@ def test_load_model_without_meta(tmp_path, trained):
         load_model(path)
 
 
+def test_load_model_rejects_bad_pool(tmp_path, trained):
+    model, vocab = trained
+    path = tmp_path / "model.ckpt"
+    from seqrep.checkpoint import model_meta
+    meta = dict(model_meta(model, vocab), pool="bogus")
+    save_checkpoint(path, DIGEST, meta=meta, vocab=vocab,
+                    tensors={n: p.data for n, p in model.parameters()})
+    with pytest.raises(CheckpointFormatError, match="train.pool"):
+        load_model(path)
+
+
 def test_checkpoint_dataclass_defaults():
     ckpt = Checkpoint(digest="x")
     assert ckpt.tensors == {}

@@ -1,11 +1,20 @@
-"""Command line: full workflow, digest guard, exit codes."""
+"""Command line: full workflow, study subcommands, digest guard, exit codes."""
 import json
 
 import pytest
 
 from seqrep import __version__
+from seqrep.checkpoint import load_model
 from seqrep.cli import main
-from seqrep.config import render_config
+from seqrep.config import config_from_values, load_config, render_config
+from seqrep.context import AGGREGATION_METHODS, build_store, train_attention_matrix
+from seqrep.pipeline import (
+    compare_objectives,
+    evaluate_model,
+    load_dataset,
+    prepare_splits,
+    splice_analysis,
+)
 from seqrep.report import read_report
 from conftest import small_config
 
@@ -97,6 +106,98 @@ def test_cpd_writes_report_and_curve(workdir):
     curve = (workdir / "cpd.am.csv").read_text().splitlines()
     assert curve[0] == "margin,accuracy"
     assert len(curve) == 22  # header + margins 0..20
+
+
+def direct_inputs(workdir):
+    """The config, splits and model the subcommands read from `workdir`."""
+    cfg = load_config(workdir / "run.cfg")
+    splits = prepare_splits(cfg, load_dataset(cfg, workdir / "data"))
+    model, _ = load_model(workdir / "model.ckpt")
+    return cfg, splits, model
+
+
+def test_splice_writes_report_and_curves(workdir):
+    out = workdir / "splice.json"
+    rc = run(["splice", "--config", workdir / "run.cfg",
+              "--checkpoint", workdir / "model.ckpt",
+              "--data", workdir / "data", "--pairs", 3, "--out", out])
+    assert rc == 0
+    cfg, splits, model = direct_inputs(workdir)
+    clean = [c for c in splits.all_clients if c.change_point is None]
+    payload = read_report(out)
+    assert payload == splice_analysis(cfg, model, clean, n_pairs=3, seed=0)
+    for mode in ("converge", "diverge"):
+        lines = (workdir / f"splice.{mode}.csv").read_text().splitlines()
+        assert lines[0] == "offset,distance"
+        expected = sorted((int(o), d) for o, d in
+                          payload[f"{mode}_mean_distance"].items() if d is not None)
+        assert [(int(o), float(d)) for o, d in
+                (line.split(",") for line in lines[1:])] == expected
+
+
+def test_compare_matches_compare_objectives(workdir):
+    out = workdir / "compare.json"
+    rc = run(["compare", "--config", workdir / "run.cfg", "--data", workdir / "data",
+              "--objectives", "ar", "--seeds", "0", "--tasks", "global",
+              "--out", out])
+    assert rc == 0
+    cfg, splits, _ = direct_inputs(workdir)
+    results = compare_objectives(cfg, splits, ["ar"], [0], tasks=["global"])
+    assert read_report(out) == {
+        "config_digest": cfg.digest,
+        "seeds": [0],
+        "clients": splits.counts(),
+        "objectives": {"ar": {"global": results["ar"]["global"].summary()}},
+    }
+
+
+def test_context_ablation_scores_every_method(workdir):
+    out = workdir / "ablation.json"
+    rc = run(["context-ablation", "--config", workdir / "run.cfg",
+              "--checkpoint", workdir / "model.ckpt",
+              "--data", workdir / "data", "--out", out])
+    assert rc == 0
+    payload = read_report(out)
+    rows = payload["local_binary"]
+    assert set(rows) == {"none", *AGGREGATION_METHODS}
+    # Each row is the seed-0 local probe of evaluate_model over the same
+    # store of train clients, with the method as the configured aggregation.
+    cfg, splits, model = direct_inputs(workdir)
+    store = build_store(model, splits.train, max_clients=cfg.get("context.store_size"),
+                        window=cfg.get("eval.window"), stride=cfg.get("eval.stride"),
+                        seed=0)
+    assert payload["store_clients"] == len(store)
+    assert payload["objective"] == model.objective
+    for method in AGGREGATION_METHODS:
+        attention = None
+        if method == "learnable":
+            attention, _ = train_attention_matrix(
+                model, store, splits.train, epochs=cfg.get("context.attn_epochs"),
+                lr=cfg.get("context.attn_lr"), seed=0)
+        method_cfg = config_from_values({**cfg.values, "context.method": method})
+        direct, _ = evaluate_model(method_cfg, model, splits, store=store,
+                                   attention=attention,
+                                   tasks=["local_binary", "local_binary_context"])
+        assert rows["none"] == direct["tasks"]["local_binary"]["per_seed"]["0"]
+        assert rows[method] == direct["tasks"]["local_binary_context"]["per_seed"]["0"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("compare", "--objectives"),
+    ("compare", "--tasks"),
+    ("context-ablation", "--methods"),
+])
+def test_unknown_study_names_are_operational_errors(workdir, tmp_path, capsys,
+                                                    command, flag):
+    args = [command, "--config", workdir / "run.cfg", "--data", workdir / "data",
+            flag, "bogus", "--out", tmp_path / "r.json"]
+    if command == "context-ablation":
+        args += ["--checkpoint", workdir / "model.ckpt"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "bogus" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_report_merges(workdir):

@@ -120,6 +120,15 @@ def test_bad_objective_rejected():
         make_train_config(cfg)
 
 
+def test_bad_pool_rejected():
+    cfg = config_from_values({**default_config().values, "train.pool": "bogus"})
+    with pytest.raises(ValueError, match="train.pool"):
+        make_train_config(cfg)
+    for pool in ("auto", "last", "first_token"):
+        cfg = config_from_values({**default_config().values, "train.pool": pool})
+        assert make_train_config(cfg).pool == pool
+
+
 def test_config_is_frozen():
     cfg = default_config()
     with pytest.raises(AttributeError):

@@ -16,7 +16,7 @@ from seqrep.context import (
     window_augmenter,
 )
 from seqrep.data.types import ClientSequence
-from seqrep.encoders import build_encoder, embed_pooled
+from seqrep.encoders import GruEncoder, embed_pooled
 from seqrep.evaluation.protocol import FrozenModel, local_window_dataset
 from seqrep.evaluation.windows import WindowEmbeddings, sliding_window_embed_many
 from seqrep.nn import (Adam, Tape, Tensor, backward, concat, grad_check, matmul,
@@ -28,7 +28,7 @@ from seqrep.objectives.sampling import coles_sample_subsequences, pad_batch
 @pytest.fixture(scope="module")
 def frozen(tiny_cfg, tiny_splits):
     enc_cfg = make_encoder_config(tiny_cfg, tiny_splits.vocab.n_indices)
-    return FrozenModel(encoder=build_encoder(enc_cfg, seed=0),
+    return FrozenModel(encoder=GruEncoder(enc_cfg, seed=0),
                        pool_strategy="last")
 
 

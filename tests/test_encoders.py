@@ -14,7 +14,6 @@ from seqrep.encoders import (
     GruCore,
     GruEncoder,
     TransformerEncoder,
-    build_encoder,
     embed_pooled,
     encode_sequence,
     gru_cell,
@@ -511,21 +510,11 @@ def test_pool_padded_returns_fresh_rows(rng):
         pool_padded(hidden, lengths, "middle")
 
 
-def test_build_encoder_dispatches():
-    assert isinstance(build_encoder(EncoderConfig(n_indices=5)), GruEncoder)
-    assert isinstance(
-        build_encoder(EncoderConfig(n_indices=5, hidden=8, arch="transformer",
-                                    heads=2)),
-        TransformerEncoder)
-
-
 def test_encoder_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(n_indices=5, arch="rnn")
     with pytest.raises(ValueError):
         EncoderConfig(n_indices=5, arch="transformer", hidden=10, heads=4)
-    with pytest.raises(ValueError):
-        EncoderConfig(n_indices=5, pool="none")
 
 
 # ------------------------------------------------------------ fused GRU scan

@@ -6,7 +6,6 @@ from seqrep.evaluation.heads import (
     MetricReport,
     MlpProbe,
     ProbeConfig,
-    n_threads,
     run_seeds,
 )
 
@@ -84,23 +83,3 @@ def test_run_seeds_orders_results():
 def test_run_seeds_rejects_duplicates():
     with pytest.raises(ValueError):
         run_seeds(lambda s: s, [1, 1])
-
-
-def test_run_seeds_parallel_matches_serial(monkeypatch):
-    def work(seed):
-        return {"v": seed ** 2}
-
-    monkeypatch.delenv("SEQREP_THREADS", raising=False)
-    serial = run_seeds(work, [0, 1, 2, 3])
-    monkeypatch.setenv("SEQREP_THREADS", "4")
-    parallel = run_seeds(work, [0, 1, 2, 3])
-    assert serial.per_seed == parallel.per_seed
-
-
-def test_n_threads_parsing(monkeypatch):
-    monkeypatch.delenv("SEQREP_THREADS", raising=False)
-    assert n_threads() == 1
-    monkeypatch.setenv("SEQREP_THREADS", "6")
-    assert n_threads() == 6
-    monkeypatch.setenv("SEQREP_THREADS", "0")
-    assert n_threads() == 1

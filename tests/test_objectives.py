@@ -1,25 +1,20 @@
 """Objectives: samplers, loss functions, model batch plumbing, training loop."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from seqrep.config import make_encoder_config
 from seqrep.nn import NonFiniteError, Tape, Tensor
 from seqrep.objectives import (
     OBJECTIVES,
     TrainConfig,
-    ar_targets,
     build_model,
     coles_sample_subsequences,
     contrastive_loss,
-    joint_loss,
     masked_joint_loss,
     mlm_corrupt,
     normalize_rows,
     pad_batch,
     train,
-    ts2vec_contexts,
     ts2vec_hierarchical_loss,
 )
 from seqrep.objectives.models import _resolve_pool
@@ -54,17 +49,6 @@ def test_coles_rejects_bad_ranges(tiny_clients):
         coles_sample_subsequences(tiny_clients, n_slices=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 80), st.integers(0, 2**31 - 1))
-def test_ts2vec_contexts_law(length, seed):
-    pair = ts2vec_contexts(length, seed)
-    (a1, a2), (b1, b2) = pair.crop1, pair.crop2
-    o1, o2 = pair.overlap
-    assert 0 <= a1 <= o1 < o2 <= b2 <= length
-    assert a2 == o2 and b1 == o1
-    assert o2 - o1 >= 1
-
-
 def test_mlm_corrupt_actions(rng):
     b, length = 8, 40
     mcc = rng.integers(1, 9, size=(b, length))
@@ -96,13 +80,6 @@ def test_mlm_corrupt_validates():
     with pytest.raises(ValueError):
         mlm_corrupt(np.ones((2, 3), dtype=np.int64), np.ones((2, 4)),
                     np.ones((2, 3), dtype=bool))
-
-
-def test_ar_targets_shift(tiny_clients):
-    seq = tiny_clients[0]
-    mcc_t, amt_t = ar_targets(seq)
-    np.testing.assert_array_equal(mcc_t, seq.mcc_idx[1:])
-    np.testing.assert_array_equal(amt_t, seq.amounts_t[1:])
 
 
 def test_pad_batch_rectangles(rng):
@@ -163,20 +140,23 @@ def test_ts2vec_loss_requires_3d(rng):
 
 def test_joint_loss_weights_and_value(rng):
     n, k = 6, 5
-    logits = rng.normal(size=(n, k))
-    targets = rng.integers(0, k, size=n)
-    amount_pred = rng.normal(size=(n, 1))
-    amount_true = rng.normal(size=n)
+    logits = rng.normal(size=(1, n, k))
+    targets = rng.integers(0, k, size=(1, n))
+    amount_pred = rng.normal(size=(1, n, 1))
+    amount_true = rng.normal(size=(1, n))
 
-    total, parts = joint_loss(Tensor(logits), Tensor(amount_pred), targets,
-                              amount_true, weights=(5.0, 1.0))
-    z = logits - logits.max(axis=1, keepdims=True)
+    total = masked_joint_loss(Tensor(logits), Tensor(amount_pred), targets,
+                              amount_true, np.ones((1, n), dtype=bool),
+                              weights=(5.0, 1.0))
+    z = logits[0] - logits[0].max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    ce = -logp[np.arange(n), targets].mean()
-    mse = np.mean((amount_pred[:, 0] - amount_true) ** 2)
+    ce = -logp[np.arange(n), targets[0]].mean()
+    mse = np.mean((amount_pred[0, :, 0] - amount_true[0]) ** 2)
     assert float(total.data) == pytest.approx(5 * ce + mse, rel=1e-12)
-    assert parts.ce == pytest.approx(ce, rel=1e-12)
-    assert parts.mse == pytest.approx(mse, rel=1e-12)
+    half = masked_joint_loss(Tensor(logits), Tensor(amount_pred), targets,
+                             amount_true, np.ones((1, n), dtype=bool),
+                             weights=(2.5, 0.5))
+    assert float(half.data) == pytest.approx(float(total.data) / 2, rel=1e-12)
 
 
 def test_masked_joint_loss_ignores_invalid(rng):
@@ -187,20 +167,20 @@ def test_masked_joint_loss_ignores_invalid(rng):
     amount_true = rng.normal(size=(b, length))
     mask = np.ones((b, length))
 
-    full, _ = masked_joint_loss(Tensor(logits), Tensor(amount_pred), targets,
-                                amount_true, mask, weights=(5.0, 1.0))
+    full = masked_joint_loss(Tensor(logits), Tensor(amount_pred), targets,
+                              amount_true, mask, weights=(5.0, 1.0))
 
     # Corrupt the masked-out region: loss must not move.
     mask2 = mask.copy()
     mask2[:, 5:] = 0.0
-    ref, _ = masked_joint_loss(Tensor(logits), Tensor(amount_pred), targets,
-                               amount_true, mask2, weights=(5.0, 1.0))
+    ref = masked_joint_loss(Tensor(logits), Tensor(amount_pred), targets,
+                            amount_true, mask2, weights=(5.0, 1.0))
     targets_bad = targets.copy()
     targets_bad[:, 5:] = 0
     amount_bad = amount_true.copy()
     amount_bad[:, 5:] = 99.0
-    out, _ = masked_joint_loss(Tensor(logits), Tensor(amount_pred), targets_bad,
-                               amount_bad, mask2, weights=(5.0, 1.0))
+    out = masked_joint_loss(Tensor(logits), Tensor(amount_pred), targets_bad,
+                            amount_bad, mask2, weights=(5.0, 1.0))
     assert float(out.data) == pytest.approx(float(ref.data), rel=1e-12)
     assert float(full.data) != pytest.approx(float(ref.data), rel=1e-3)
 
@@ -226,6 +206,43 @@ def test_build_model_coerces_arch(tiny_cfg, tiny_splits):
     assert ar.encoder.config.arch == "gru"
     with pytest.raises(ValueError):
         build_model("diffusion", enc_cfg(tiny_cfg, tiny_splits), tc, seed=0)
+
+
+def test_ar_batches_shift_targets(tiny_cfg, tiny_splits):
+    tc = TrainConfig(batch_size=8, max_len=10_000)
+    model = build_model("ar", enc_cfg(tiny_cfg, tiny_splits), tc, seed=0)
+    rows = []
+    for batch in model.iter_batches(tiny_splits.train, np.random.default_rng(3)):
+        valid = batch["valid"]
+        assert not batch["tgt_mcc"][~valid].any() and not batch["tgt_amt"][~valid].any()
+        # Position j's target is the transaction fed at position j + 1.
+        follow = valid[:, 1:]
+        np.testing.assert_array_equal(batch["tgt_mcc"][:, :-1][follow],
+                                      batch["mcc"][:, 1:][follow])
+        np.testing.assert_array_equal(batch["tgt_amt"][:, :-1][follow],
+                                      batch["amt"][:, 1:][follow])
+        for i, length in enumerate(valid.sum(axis=1)):
+            rows.append(tuple(batch["mcc"][i, :length])
+                        + (batch["tgt_mcc"][i, length - 1],))
+    # Without cropping, inputs plus the last target rebuild every history.
+    assert sorted(rows) == sorted(tuple(c.mcc_idx) for c in tiny_splits.train)
+
+
+def test_ts2vec_batches_share_the_overlap(tiny_cfg, tiny_splits):
+    tc = TrainConfig(clients_per_batch=6, ts2vec_extend_max=5)
+    model = build_model("ts2vec", enc_cfg(tiny_cfg, tiny_splits), tc, seed=0)
+    for batch in model.iter_batches(tiny_splits.train, np.random.default_rng(4)):
+        t_o = batch["t_o"]
+        assert t_o >= 1
+        assert not batch["off2"].any()
+        for i, off in enumerate(batch["off1"]):
+            # View 1 extends the overlap leftwards only, view 2 rightwards only.
+            assert batch["len1"][i] == off + t_o <= t_o + tc.ts2vec_extend_max
+            assert t_o <= batch["len2"][i] <= t_o + tc.ts2vec_extend_max
+            np.testing.assert_array_equal(batch["mcc1"][i, off : off + t_o],
+                                          batch["mcc2"][i, :t_o])
+            np.testing.assert_array_equal(batch["amt1"][i, off : off + t_o],
+                                          batch["amt2"][i, :t_o])
 
 
 def test_supervised_needs_classes(tiny_cfg, tiny_splits):

@@ -6,7 +6,7 @@ import pytest
 
 from seqrep.config import make_encoder_config
 from seqrep.data.types import ClientSequence
-from seqrep.encoders import build_encoder
+from seqrep.encoders import GruEncoder
 from seqrep.evaluation.heads import ProbeConfig
 import seqrep.evaluation.protocol as protocol
 from seqrep.evaluation.protocol import (
@@ -29,7 +29,7 @@ PROBE = ProbeConfig(hidden=8, epochs=3)
 @pytest.fixture(scope="module")
 def frozen(tiny_cfg, tiny_splits):
     enc_cfg = make_encoder_config(tiny_cfg, tiny_splits.vocab.n_indices)
-    return FrozenModel(encoder=build_encoder(enc_cfg, seed=0),
+    return FrozenModel(encoder=GruEncoder(enc_cfg, seed=0),
                        pool_strategy="last")
 
 
