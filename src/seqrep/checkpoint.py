@@ -274,14 +274,13 @@ def model_meta(model, vocab: MccVocab,
     return {
         "objective": model.objective,
         "pool": model.pool_strategy,
-        "head_hidden": model.cfg.head_hidden if hasattr(model, "cfg") else 64,
+        "head_hidden": model.cfg.head_hidden,
         "n_classes": n_classes,
         "vocab_k": vocab.k,
         "encoder": {
             "n_indices": enc_cfg.n_indices,
             "d_emb": enc_cfg.d_emb,
             "hidden": enc_cfg.hidden,
-            "arch": enc_cfg.arch,
             "blocks": enc_cfg.blocks,
             "heads": enc_cfg.heads,
             "ff": enc_cfg.ff,
@@ -317,19 +316,20 @@ def load_model(path: str | os.PathLike, expected_digest: Optional[str] = None,
     meta = ckpt.meta
     try:
         enc = meta["encoder"]
+        # Checkpoints written before the objective alone chose the encoder
+        # also carry an "arch" entry; it is ignored.
         enc_cfg = EncoderConfig(
             n_indices=int(enc["n_indices"]), d_emb=int(enc["d_emb"]),
-            hidden=int(enc["hidden"]), arch=str(enc["arch"]),
+            hidden=int(enc["hidden"]),
             blocks=int(enc["blocks"]), heads=int(enc["heads"]), ff=int(enc["ff"]),
         )
-        objective = str(meta["objective"])
         n_classes = meta.get("n_classes")
         cfg = TrainConfig(pool=str(meta["pool"]),
                           head_hidden=int(meta.get("head_hidden", 64)))
+        model = build_model(str(meta["objective"]), enc_cfg, cfg, seed=0,
+                            n_classes=None if n_classes is None else int(n_classes))
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointFormatError(f"{os.fspath(path)}: malformed META: {err}") from err
-    model = build_model(objective, enc_cfg, cfg, seed=0,
-                        n_classes=None if n_classes is None else int(n_classes))
     named = dict(model.parameters())
     missing = sorted(set(named) - set(ckpt.tensors))
     if missing:

@@ -121,7 +121,7 @@ def _beside(out: str, suffix: str) -> str:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    dataset = load_dataset(cfg, seed=args.seed if args.seed != 0 else None)
+    dataset = load_dataset(cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_transactions_csv(dataset, out / "transactions.csv")
@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic dataset as CSV files")
     _add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_generate)
+    # Without --seed the data come from the config's data.seed.
+    p.set_defaults(fn=cmd_generate, seed=None)
 
     p = sub.add_parser("train", help="train the configured objective")
     _add_common(p)

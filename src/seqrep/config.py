@@ -11,10 +11,11 @@ regardless of comments, ordering, or spacing.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
+from .context import AGGREGATION_METHODS
 from .data.synthetic import SyntheticConfig
 from .encoders import EncoderConfig
 from .evaluation.heads import ProbeConfig
@@ -40,89 +41,40 @@ class ConfigError(ValueError):
     """Malformed text, unknown key, or a value of the wrong type."""
 
 
-def _bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+# Each option class owns the keys under its prefix: one key per field with a
+# scalar default, converted by that default's type.
+_OWNERS = {SyntheticConfig: "data.", EncoderConfig: "encoder.",
+           TrainConfig: "train.", ProbeConfig: "eval.probe_"}
 
 
-# key -> (type converter, default). The registry is the single source of
-# truth for what may appear in a config file.
+def _options(cls) -> list:
+    return [f for f in fields(cls) if isinstance(f.default, (int, float, str))]
+
+
+# key -> (type converter, default): every key a config file may set.
 REGISTRY: dict[str, tuple] = {
-    # synthetic data generation
-    "data.n_clients": (int, 1000),
-    "data.length_min": (int, 100),
-    "data.length_max": (int, 300),
-    "data.n_mcc": (int, 20),
-    "data.n_regimes": (int, 5),
-    "data.label_coupling": (float, 0.9),
-    "data.transition_sharpness": (float, 0.12),
-    "data.exo_switch_rate": (float, 1.0 / 45.0),
-    "data.exo_strength": (float, 0.25),
-    "data.cp_probability": (float, 0.3),
-    "data.cp_distress_prob": (float, 0.5),
-    "data.distress_blend": (float, 0.6),
-    "data.amount_sigma": (float, 0.6),
-    "data.distress_amount_shift": (float, -0.4),
-    "data.exo_amount_shift": (float, 0.15),
-    "data.refund_prob": (float, 0.03),
-    "data.gap_mean_days": (float, 1.0),
-    "data.start_window_days": (float, 30.0),
-    "data.base_time": (int, 1577836800),
-    "data.seed": (int, 0),
+    _OWNERS[cls] + f.name: (type(f.default), f.default)
+    for cls in _OWNERS for f in _options(cls)
+}
+REGISTRY.update({
     "data.horizon_days": (float, 30.0),
-    # vocabulary and splits
     "vocab.k": (int, 100),
     "split.train": (float, 0.8),
     "split.val": (float, 0.1),
     "split.test": (float, 0.1),
     "split.seed": (int, 0),
-    # encoder
-    "encoder.d_emb": (int, 16),
-    "encoder.hidden": (int, 64),
-    "encoder.arch": (str, "gru"),
-    "encoder.blocks": (int, 2),
-    "encoder.heads": (int, 4),
-    "encoder.ff": (int, 128),
-    # objective training
     "train.objective": (str, "coles"),
-    "train.epochs": (int, 5),
-    "train.batch_size": (int, 64),
-    "train.lr": (float, 1e-3),
-    "train.max_len": (int, 100),
-    "train.pool": (str, "auto"),
-    "train.margin": (float, 0.5),
-    "train.slices_per_client": (int, 5),
-    "train.slice_min": (int, 15),
-    "train.slice_max": (int, 50),
-    "train.clients_per_batch": (int, 16),
-    "train.ts2vec_overlap_min": (int, 8),
-    "train.ts2vec_overlap_max": (int, 40),
-    "train.ts2vec_extend_max": (int, 24),
-    "train.ts2vec_alpha": (float, 0.5),
-    "train.mlm_select_p": (float, 0.1),
-    "train.mlm_mask_p": (float, 0.8),
-    "train.mlm_swap_p": (float, 0.1),
-    "train.ce_weight": (float, 5.0),
-    "train.mse_weight": (float, 1.0),
-    "train.head_hidden": (int, 64),
-    # evaluation protocol
     "eval.window": (int, 32),
     "eval.stride": (int, 16),
     "eval.n_seeds": (int, 3),
-    "eval.probe_hidden": (int, 128),
-    "eval.probe_epochs": (int, 10),
-    "eval.probe_batch_size": (int, 512),
-    "eval.probe_lr": (float, 1e-3),
-    # cross-client context
     "context.store_size": (int, 500),
     "context.method": (str, "mean"),
     "context.attn_epochs": (int, 3),
     "context.attn_lr": (float, 1e-2),
-}
+})
+
+# Keys whose value must be one of a fixed set of names.
+_CHOICES = {"train.objective": OBJECTIVES, "context.method": AGGREGATION_METHODS}
 
 
 @dataclass(frozen=True)
@@ -174,7 +126,7 @@ def _resolve(raw: dict[str, str]) -> dict:
     for key, (conv, default) in REGISTRY.items():
         if key in raw:
             try:
-                values[key] = _bool(raw[key]) if conv is bool else conv(raw[key])
+                values[key] = conv(raw[key])
             except ValueError as err:
                 raise ConfigError(
                     f"key {key!r}: cannot parse {raw[key]!r} as {conv.__name__}"
@@ -185,11 +137,7 @@ def _resolve(raw: dict[str, str]) -> dict:
 
 
 def _render_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def render_config(values: dict) -> str:
@@ -203,6 +151,9 @@ def _digest(values: dict) -> str:
 
 
 def config_from_values(values: dict) -> Config:
+    for key, allowed in _CHOICES.items():
+        if values.get(key) not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {values.get(key)!r}")
     return Config(values=dict(values), digest=_digest(values))
 
 
@@ -221,82 +172,23 @@ def load_config(path: Optional[str | Path]) -> Config:
     return config_from_values(_resolve(parse_config_text(text)))
 
 
+def _build(cls, cfg: Config, **given):
+    """`cls` from the keys it owns, plus the non-config fields in `given`."""
+    prefix = _OWNERS[cls]
+    return cls(**{f.name: cfg.get(prefix + f.name) for f in _options(cls)}, **given)
+
+
 def make_synthetic_config(cfg: Config) -> SyntheticConfig:
-    d = cfg.section("data")
-    return SyntheticConfig(
-        n_clients=d["n_clients"],
-        length_min=d["length_min"],
-        length_max=d["length_max"],
-        n_mcc=d["n_mcc"],
-        n_regimes=d["n_regimes"],
-        label_coupling=d["label_coupling"],
-        transition_sharpness=d["transition_sharpness"],
-        exo_switch_rate=d["exo_switch_rate"],
-        exo_strength=d["exo_strength"],
-        cp_probability=d["cp_probability"],
-        cp_distress_prob=d["cp_distress_prob"],
-        distress_blend=d["distress_blend"],
-        amount_sigma=d["amount_sigma"],
-        distress_amount_shift=d["distress_amount_shift"],
-        exo_amount_shift=d["exo_amount_shift"],
-        refund_prob=d["refund_prob"],
-        gap_mean_days=d["gap_mean_days"],
-        start_window_days=d["start_window_days"],
-        base_time=d["base_time"],
-        seed=d["seed"],
-    )
+    return _build(SyntheticConfig, cfg)
 
 
-def make_encoder_config(cfg: Config, n_indices: int,
-                        arch: Optional[str] = None) -> EncoderConfig:
-    e = cfg.section("encoder")
-    return EncoderConfig(
-        n_indices=n_indices,
-        d_emb=e["d_emb"],
-        hidden=e["hidden"],
-        arch=arch if arch is not None else e["arch"],
-        blocks=e["blocks"],
-        heads=e["heads"],
-        ff=e["ff"],
-    )
+def make_encoder_config(cfg: Config, n_indices: int) -> EncoderConfig:
+    return _build(EncoderConfig, cfg, n_indices=n_indices)
 
 
 def make_train_config(cfg: Config) -> TrainConfig:
-    t = cfg.section("train")
-    objective = t["objective"]
-    if objective not in OBJECTIVES:
-        raise ConfigError(
-            f"train.objective must be one of {OBJECTIVES}, got {objective!r}"
-        )
-    return TrainConfig(
-        epochs=t["epochs"],
-        batch_size=t["batch_size"],
-        lr=t["lr"],
-        max_len=t["max_len"],
-        pool=t["pool"],
-        margin=t["margin"],
-        slices_per_client=t["slices_per_client"],
-        slice_min=t["slice_min"],
-        slice_max=t["slice_max"],
-        clients_per_batch=t["clients_per_batch"],
-        ts2vec_overlap_min=t["ts2vec_overlap_min"],
-        ts2vec_overlap_max=t["ts2vec_overlap_max"],
-        ts2vec_extend_max=t["ts2vec_extend_max"],
-        ts2vec_alpha=t["ts2vec_alpha"],
-        mlm_select_p=t["mlm_select_p"],
-        mlm_mask_p=t["mlm_mask_p"],
-        mlm_swap_p=t["mlm_swap_p"],
-        ce_weight=t["ce_weight"],
-        mse_weight=t["mse_weight"],
-        head_hidden=t["head_hidden"],
-    )
+    return _build(TrainConfig, cfg)
 
 
 def make_probe_config(cfg: Config) -> ProbeConfig:
-    e = cfg.section("eval")
-    return ProbeConfig(
-        hidden=e["probe_hidden"],
-        epochs=e["probe_epochs"],
-        batch_size=e["probe_batch_size"],
-        lr=e["probe_lr"],
-    )
+    return _build(ProbeConfig, cfg)

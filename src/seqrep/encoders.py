@@ -85,18 +85,9 @@ class EncoderConfig:
     n_indices: int
     d_emb: int = 16
     hidden: int = 64
-    arch: str = "gru"
     blocks: int = 2
     heads: int = 4
     ff: int = 128
-
-    def __post_init__(self):
-        if self.arch not in ("gru", "transformer"):
-            raise ValueError(f"unknown encoder arch {self.arch!r}")
-        if self.arch == "transformer" and self.hidden % self.heads != 0:
-            raise ValueError(
-                f"hidden width {self.hidden} not divisible by {self.heads} heads"
-            )
 
     @property
     def input_width(self) -> int:
@@ -236,8 +227,6 @@ class GruEncoder:
     """Unidirectional GRU over embedded transactions."""
 
     def __init__(self, config: EncoderConfig, seed: int = 0):
-        if config.arch != "gru":
-            raise ValueError("config.arch must be 'gru'")
         self.config = config
         rng = np.random.default_rng(seed)
         table = rng.normal(0.0, 0.1, size=(config.n_indices, config.d_emb))
@@ -351,8 +340,10 @@ class TransformerEncoder:
     """Bidirectional self-attention encoder with a CLS slot at position 0."""
 
     def __init__(self, config: EncoderConfig, seed: int = 0):
-        if config.arch != "transformer":
-            raise ValueError("config.arch must be 'transformer'")
+        if config.hidden % config.heads != 0:
+            raise ValueError(
+                f"hidden width {config.hidden} not divisible by {config.heads} heads"
+            )
         self.config = config
         rng = np.random.default_rng(seed)
         d_in, d = config.input_width, config.hidden

@@ -8,7 +8,7 @@ tensor on the active tape. Evaluation code only touches `encoder` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -444,13 +444,11 @@ class MlmModel:
 
 def build_model(objective: str, encoder_cfg: EncoderConfig, cfg: TrainConfig,
                 seed: int, n_classes: Optional[int] = None):
+    """The objective's model. It alone picks the encoder: masked reconstruction
+    needs bidirectional attention (the transformer); every other objective
+    runs on the causal GRU."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    # Masked reconstruction needs bidirectional attention; everything else
-    # runs on the causal recurrent encoder.
-    wanted = "transformer" if objective == "mlm" else "gru"
-    if encoder_cfg.arch != wanted:
-        encoder_cfg = replace(encoder_cfg, arch=wanted)
     if objective == "supervised":
         if n_classes is None:
             raise ValueError("supervised objective needs n_classes")

@@ -142,8 +142,7 @@ def train_model(cfg: Config, splits: Splits, seed: int,
     """Train the configured objective (or an explicit one) on the splits."""
     train_cfg = make_train_config(cfg)
     obj = objective if objective is not None else cfg.get("train.objective")
-    arch = "transformer" if obj == "mlm" else "gru"
-    enc_cfg = make_encoder_config(cfg, splits.vocab.n_indices, arch=arch)
+    enc_cfg = make_encoder_config(cfg, splits.vocab.n_indices)
     n_classes = _n_classes(splits.all_clients) if obj == "supervised" else None
     model = build_model(obj, enc_cfg, train_cfg, seed=seed, n_classes=n_classes)
     logger.info("training %s for %d epochs on %d clients",
@@ -396,6 +395,8 @@ def compare_objectives(cfg: Config, splits: Splits,
     (objective, seed) pair, so seed variance covers pretraining too. Each
     trained model's splits are embedded once for all its tasks.
     """
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds in {list(seeds)}")
     probe_cfg = make_probe_config(cfg)
     window = cfg.get("eval.window")
     stride = cfg.get("eval.stride")

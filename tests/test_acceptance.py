@@ -207,8 +207,7 @@ def _set_transformer_param(enc, name, tensor):
 
 
 def _transformer_case(rng):
-    cfg = EncoderConfig(n_indices=6, d_emb=3, hidden=4, arch="transformer",
-                        blocks=1, heads=2, ff=6)
+    cfg = EncoderConfig(n_indices=6, d_emb=3, hidden=4, blocks=1, heads=2, ff=6)
     enc = TransformerEncoder(cfg, seed=0)
     names = [n for n, _ in enc.parameters()]
     shapes = [t.data.shape for _, t in enc.parameters()]

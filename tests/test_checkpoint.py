@@ -247,6 +247,27 @@ def test_load_model_rejects_bad_pool(tmp_path, trained):
         load_model(path)
 
 
+@pytest.mark.parametrize("objective, arch", [("ar", "gru"), ("mlm", "transformer")])
+def test_load_model_accepts_meta_with_arch(tmp_path, tiny_cfg, tiny_splits,
+                                           objective, arch):
+    # Older checkpoints record the encoder's architecture; the objective
+    # alone picks it now, so the entry is ignored.
+    from seqrep.checkpoint import model_meta
+    enc_cfg = make_encoder_config(tiny_cfg, tiny_splits.vocab.n_indices)
+    model = build_model(objective, enc_cfg, make_train_config(tiny_cfg), seed=3)
+    meta = model_meta(model, tiny_splits.vocab)
+    assert "arch" not in meta["encoder"]
+    meta["encoder"]["arch"] = arch
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, DIGEST, meta=meta, vocab=tiny_splits.vocab,
+                    tensors={n: p.data for n, p in model.parameters()})
+    loaded, _ = load_model(path)
+    assert type(loaded.encoder) is type(model.encoder)
+    original = dict(model.parameters())
+    for name, param in loaded.parameters():
+        np.testing.assert_array_equal(param.data, original[name].data)
+
+
 def test_checkpoint_dataclass_defaults():
     ckpt = Checkpoint(digest="x")
     assert ckpt.tensors == {}

@@ -52,6 +52,20 @@ def test_train_writes_checkpoint(workdir):
     assert (workdir / "model.ckpt").stat().st_size > 0
 
 
+def test_generate_seed_replaces_data_seed(tmp_path):
+    def generate(seed, *flags):
+        cfg = tmp_path / f"seed{seed}.cfg"
+        cfg.write_text(render_config(small_config(**{"data.seed": seed}).values))
+        out = tmp_path / f"out-{seed}-{'-'.join(flags) or 'none'}"
+        assert run(["generate", "--config", cfg, "--out", out, *flags]) == 0
+        return (out / "transactions.csv").read_bytes()
+
+    # An explicit --seed wins, 0 included; without one, data.seed is used.
+    assert generate(3, "--seed", "0") == generate(0)
+    assert generate(3) == generate(0, "--seed", "3")
+    assert generate(3) != generate(0)
+
+
 def test_embed_exports_csv(workdir):
     out = workdir / "emb.csv"
     rc = run(["embed", "--config", workdir / "run.cfg",
@@ -198,6 +212,31 @@ def test_unknown_study_names_are_operational_errors(workdir, tmp_path, capsys,
     assert "error:" in err and "bogus" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_compare_rejects_repeated_seeds(workdir, tmp_path, capsys):
+    assert run(["compare", "--config", workdir / "run.cfg", "--data", workdir / "data",
+                "--objectives", "ar", "--seeds", "0,0", "--tasks", "global",
+                "--out", tmp_path / "r.json"]) == 1
+    assert "duplicate seeds" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key", ["train.objective", "context.method"])
+def test_bad_choice_in_config_fails_before_work(workdir, tmp_path, capsys, key):
+    bad = tmp_path / "bad.cfg"
+    text = "".join(line for line in (workdir / "run.cfg").read_text().splitlines(True)
+                   if not line.startswith(key + " "))
+    bad.write_text(text + f"{key} = bogus\n")
+    for command in ("train", "build-context"):
+        args = [command, "--config", bad, "--data", workdir / "data",
+                "--out", tmp_path / "out.ckpt"]
+        if command == "build-context":
+            args += ["--checkpoint", workdir / "model.ckpt"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "Traceback" not in err
+        assert not (tmp_path / "out.ckpt").exists()
 
 
 def test_report_merges(workdir):

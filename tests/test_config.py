@@ -1,4 +1,6 @@
 """Config text format: parsing, typed resolution, canonical digest."""
+from dataclasses import fields
+
 import pytest
 
 from seqrep.config import (
@@ -15,6 +17,10 @@ from seqrep.config import (
     parse_config_text,
     render_config,
 )
+from seqrep.data.synthetic import SyntheticConfig
+from seqrep.encoders import EncoderConfig
+from seqrep.evaluation.heads import ProbeConfig
+from seqrep.objectives.models import TrainConfig
 
 
 def test_parse_pairs_comments_and_blanks():
@@ -107,17 +113,57 @@ def test_builders_map_sections():
                               "train.objective": "ar",
                               "eval.probe_epochs": 2})
     assert make_synthetic_config(cfg).n_clients == 5
-    assert make_encoder_config(cfg, n_indices=10).hidden == 24
-    assert make_encoder_config(cfg, 10, arch="transformer").arch == "transformer"
+    enc = make_encoder_config(cfg, n_indices=10)
+    assert (enc.n_indices, enc.hidden) == (10, 24)
     assert make_train_config(cfg).epochs == cfg.get("train.epochs")
     assert make_probe_config(cfg).epochs == 2
+    # Every field with a default is read from its key.
+    cfg = config_from_values({**cfg.values, "data.refund_prob": 0.25,
+                              "train.mlm_swap_p": 0.05, "eval.probe_lr": 0.5})
+    assert make_synthetic_config(cfg).refund_prob == 0.25
+    assert make_train_config(cfg).mlm_swap_p == 0.05
+    assert make_probe_config(cfg).lr == 0.5
 
 
-def test_bad_objective_rejected():
-    cfg = config_from_values({**default_config().values,
-                              "train.objective": "zen"})
-    with pytest.raises(ConfigError, match="train.objective"):
-        make_train_config(cfg)
+def bad_choice_rejected(tmp_path, key):
+    # Choice-valued keys fail when the config is built, naming the key.
+    with pytest.raises(ConfigError, match=key):
+        config_from_values({**default_config().values, key: "bogus"})
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = bogus\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+def test_bad_objective_rejected(tmp_path):
+    bad_choice_rejected(tmp_path, "train.objective")
+
+
+def test_bad_context_method_rejected(tmp_path):
+    bad_choice_rejected(tmp_path, "context.method")
+
+
+def test_default_digest_is_pinned():
+    # Any change to a key or a default changes this digest, and so
+    # invalidates every checkpoint written before it.
+    assert default_config().digest == (
+        "29af02e59164d2b51d871b8db9b0be640d402b1acf6872cc946d01b58e565c79")
+
+
+@pytest.mark.parametrize("prefix, cls", [
+    ("data.", SyntheticConfig),
+    ("encoder.", EncoderConfig),
+    ("train.", TrainConfig),
+    ("eval.probe_", ProbeConfig),
+])
+def test_registry_keys_are_the_option_fields(prefix, cls):
+    owned = {k[len(prefix):]: v for k, v in REGISTRY.items() if k.startswith(prefix)}
+    scalar = {f.name: (type(f.default), f.default) for f in fields(cls)
+              if isinstance(f.default, (int, float, str))}
+    unowned = {"data.": {"horizon_days"}, "train.": {"objective"}}.get(prefix, set())
+    assert set(owned) == set(scalar) | unowned
+    for name, (conv, default) in scalar.items():
+        assert owned[name] == (conv, default)
 
 
 def test_bad_pool_rejected():

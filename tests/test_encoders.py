@@ -63,8 +63,8 @@ def gru():
 @pytest.fixture(scope="module")
 def txf():
     return TransformerEncoder(
-        EncoderConfig(n_indices=9, d_emb=6, hidden=8, arch="transformer",
-                      blocks=2, heads=2, ff=16), seed=0)
+        EncoderConfig(n_indices=9, d_emb=6, hidden=8, blocks=2, heads=2, ff=16),
+        seed=0)
 
 
 def test_gru_output_shape(gru, rng):
@@ -471,7 +471,7 @@ def test_gru_inference_memory_does_not_grow_with_history(rng):
 
 def test_transformer_whole_history_memory_is_bounded_by_its_budget(rng):
     encoder = TransformerEncoder(EncoderConfig(n_indices=9, d_emb=6, hidden=16,
-                                               arch="transformer", heads=4, ff=32),
+                                               heads=4, ff=32),
                                  seed=0)
     clients = mixed_clients(rng, lengths=rng.integers(100, 301, size=40))
     tracemalloc.start()
@@ -511,10 +511,11 @@ def test_pool_padded_returns_fresh_rows(rng):
 
 
 def test_encoder_config_validation():
-    with pytest.raises(ValueError):
-        EncoderConfig(n_indices=5, arch="rnn")
-    with pytest.raises(ValueError):
-        EncoderConfig(n_indices=5, arch="transformer", hidden=10, heads=4)
+    cfg = EncoderConfig(n_indices=5, hidden=10, heads=4)
+    with pytest.raises(ValueError, match="not divisible by 4 heads"):
+        TransformerEncoder(cfg)
+    # Heads are a transformer setting: the GRU takes any hidden width.
+    assert GruEncoder(cfg).hidden == 10
 
 
 # ------------------------------------------------------------ fused GRU scan

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from seqrep.config import make_encoder_config
+from seqrep.encoders import GruEncoder, TransformerEncoder
 from seqrep.nn import NonFiniteError, Tape, Tensor
 from seqrep.objectives import (
     OBJECTIVES,
@@ -187,8 +188,8 @@ def test_masked_joint_loss_ignores_invalid(rng):
 
 # ---------------------------------------------------------------- models
 
-def enc_cfg(tiny_cfg, tiny_splits, arch="gru"):
-    return make_encoder_config(tiny_cfg, tiny_splits.vocab.n_indices, arch=arch)
+def enc_cfg(tiny_cfg, tiny_splits):
+    return make_encoder_config(tiny_cfg, tiny_splits.vocab.n_indices)
 
 
 def test_pool_resolution():
@@ -200,10 +201,14 @@ def test_pool_resolution():
 
 def test_build_model_coerces_arch(tiny_cfg, tiny_splits):
     tc = TrainConfig()
+    # The objective alone picks the encoder from one shared config.
     mlm = build_model("mlm", enc_cfg(tiny_cfg, tiny_splits), tc, seed=0)
-    assert mlm.encoder.config.arch == "transformer"
-    ar = build_model("ar", enc_cfg(tiny_cfg, tiny_splits, "transformer"), tc, seed=0)
-    assert ar.encoder.config.arch == "gru"
+    assert isinstance(mlm.encoder, TransformerEncoder)
+    for objective in OBJECTIVES:
+        if objective != "mlm":
+            model = build_model(objective, enc_cfg(tiny_cfg, tiny_splits), tc, seed=0,
+                                n_classes=2)
+            assert isinstance(model.encoder, GruEncoder)
     with pytest.raises(ValueError):
         build_model("diffusion", enc_cfg(tiny_cfg, tiny_splits), tc, seed=0)
 

@@ -370,3 +370,10 @@ def test_compare_objectives_structure(tiny_splits):
     rep = out["ar"]["next_mcc"]
     assert isinstance(rep, MetricReport)
     assert list(rep.per_seed) == [0]
+
+
+def test_compare_objectives_rejects_repeated_seeds(tiny_cfg, tiny_splits):
+    # A repeated seed would retrain and overwrite the first seed's scores.
+    with pytest.raises(ValueError, match="duplicate seeds"):
+        compare_objectives(tiny_cfg, tiny_splits, objectives=("ar",), seeds=(0, 1, 0),
+                           tasks=("next_mcc",))
