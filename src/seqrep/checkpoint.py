@@ -211,12 +211,15 @@ def _read_store(r: _Reader) -> EmbeddingStore:
         if count < 0:
             raise CheckpointFormatError(f"{r.path}: negative series length for {cid!r}")
         block = np.frombuffer(r.take(count * rows.itemsize), dtype=rows)
+        if not np.isfinite(block["v"]).all():
+            raise CheckpointFormatError(
+                f"{r.path}: non-finite embedding in the context store for {cid!r}")
         store.add_series(cid, block["t"].astype(np.int64),
                          block["v"].astype(np.float64))
     return store
 
 
-def _read_tensor(r: _Reader) -> np.ndarray:
+def _read_tensor(r: _Reader, name: str) -> np.ndarray:
     rank = r.i64()
     if rank < 0 or rank > 8:
         raise CheckpointFormatError(f"{r.path}: implausible tensor rank {rank}")
@@ -225,6 +228,8 @@ def _read_tensor(r: _Reader) -> np.ndarray:
         raise CheckpointFormatError(f"{r.path}: negative tensor dimension {dims}")
     n = int(np.prod(dims, dtype=np.int64)) if dims else 1
     flat = np.frombuffer(r.take(8 * n), dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise CheckpointFormatError(f"{r.path}: tensor {name!r} has non-finite values")
     return flat.reshape(dims).copy()
 
 
@@ -263,7 +268,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         else:
             if name in ckpt.tensors:
                 raise CheckpointFormatError(f"{path}: duplicate tensor {name!r}")
-            ckpt.tensors[name] = _read_tensor(r)
+            ckpt.tensors[name] = _read_tensor(r, name)
     return ckpt
 
 

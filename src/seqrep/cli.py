@@ -6,8 +6,8 @@ and merge reports. Three more run the paper's studies: `compare` retrains
 several objectives across seeds, `context-ablation` scores the local probe
 under each context aggregation, and `splice` traces embedding distances
 around spliced histories (with `cpd`, the change-point study). Exit codes:
-0 success, 1 operational failure (bad file, digest mismatch, invalid data),
-2 usage error (argparse).
+0 success, 1 operational failure (bad file, digest mismatch, invalid data,
+a non-finite value in training), 2 usage error (argparse).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .evaluation.protocol import (
     local_window_dataset,
 )
 from .evaluation.windows import sliding_window_embed_many
+from .nn import NonFiniteError
 from .objectives.models import OBJECTIVES
 from .pipeline import (
     TASKS,
@@ -424,7 +425,8 @@ def main(argv=None) -> int:
     _setup_logging(getattr(args, "quiet", False))
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, IngestError, ValueError, OSError) as err:
+    except (ConfigError, CheckpointError, IngestError, ValueError, OSError,
+            NonFiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

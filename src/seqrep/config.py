@@ -75,6 +75,8 @@ REGISTRY.update({
 
 # Keys whose value must be one of a fixed set of names.
 _CHOICES = {"train.objective": OBJECTIVES, "context.method": AGGREGATION_METHODS}
+# Learning rates must be positive.
+_RATES = [key for key in REGISTRY if key.endswith("lr")]
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,6 @@ class Config:
         if key not in self.values:
             raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
-
-    def section(self, prefix: str) -> dict:
-        """All keys under `prefix.`, with the prefix stripped."""
-        head = prefix + "."
-        return {k[len(head):]: v for k, v in self.values.items()
-                if k.startswith(head)}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -154,6 +150,10 @@ def config_from_values(values: dict) -> Config:
     for key, allowed in _CHOICES.items():
         if values.get(key) not in allowed:
             raise ConfigError(f"{key} must be one of {allowed}, got {values.get(key)!r}")
+    for key in _RATES:
+        rate = values.get(key)
+        if not isinstance(rate, (int, float)) or not rate > 0:
+            raise ConfigError(f"{key} must be positive, got {rate!r}")
     return Config(values=dict(values), digest=_digest(values))
 
 

@@ -177,7 +177,7 @@ def ingest_csv(path) -> Dataset:
             f"{path}: reordered out-of-order timestamps for {unsorted_clients} client(s)",
             stacklevel=2,
         )
-    return Dataset(clients=clients, provenance="csv")
+    return Dataset(clients)
 
 
 def write_transactions_csv(dataset: Dataset, path) -> None:
@@ -275,4 +275,4 @@ def attach_annotations(
         if change_points is not None:
             cp = change_points.get(seq.client_id, cp)
         out.append(seq.annotated(global_label=glob, local_labels=loc, change_point=cp))
-    return Dataset(clients=out, vocab=dataset.vocab, provenance=dataset.provenance)
+    return Dataset(out)

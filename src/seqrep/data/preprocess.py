@@ -67,13 +67,7 @@ def split_dataset(
     parts = []
     start = 0
     for sz in sizes:
-        parts.append(
-            Dataset(
-                clients=shuffled[start : start + sz],
-                vocab=dataset.vocab,
-                provenance=dataset.provenance,
-            )
-        )
+        parts.append(Dataset(shuffled[start : start + sz]))
         start += sz
     return parts[0], parts[1], parts[2]
 
@@ -92,4 +86,4 @@ def derive_local_labels(dataset: Dataset, horizon_days: float = 30.0) -> Dataset
             cutoff = int(seq.timestamps[-1]) - horizon
             labels[seq.timestamps > cutoff] = 1
         out.append(seq.annotated(local_labels=labels))
-    return Dataset(clients=out, vocab=dataset.vocab, provenance=dataset.provenance)
+    return Dataset(out)

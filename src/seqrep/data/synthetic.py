@@ -213,4 +213,4 @@ def generate_synthetic(config: SyntheticConfig, seed: Optional[int] = None) -> D
                 change_point=tau,
             )
         )
-    return Dataset(clients=clients, provenance="synthetic")
+    return Dataset(clients)

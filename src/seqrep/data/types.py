@@ -50,6 +50,8 @@ class ClientSequence:
             raise ValueError(f"client {self.client_id}: empty sequence")
         if np.any(np.diff(self.timestamps) < 0):
             raise ValueError(f"client {self.client_id}: timestamps not sorted")
+        if not np.isfinite(self.amounts).all():
+            raise ValueError(f"client {self.client_id}: non-finite amount")
         if self.mcc_idx is not None:
             self.mcc_idx = np.asarray(self.mcc_idx, dtype=np.int64)
         if self.local_labels is not None:
@@ -82,11 +84,9 @@ class ClientSequence:
 
 @dataclass
 class Dataset:
-    """A set of client sequences plus the fitted vocabulary, if any."""
+    """A set of client sequences."""
 
     clients: list[ClientSequence]
-    vocab: Optional["MccVocab"] = None
-    provenance: str = "unknown"
 
     def __len__(self) -> int:
         return len(self.clients)
@@ -94,18 +94,8 @@ class Dataset:
     def __iter__(self) -> Iterator[ClientSequence]:
         return iter(self.clients)
 
-    def by_id(self) -> dict[str, ClientSequence]:
-        return {c.client_id: c for c in self.clients}
-
-    def client_ids(self) -> list[str]:
-        return [c.client_id for c in self.clients]
-
     def with_vocab(self, vocab: "MccVocab") -> "Dataset":
-        return Dataset(
-            clients=[c.with_vocab(vocab) for c in self.clients],
-            vocab=vocab,
-            provenance=self.provenance,
-        )
+        return Dataset([c.with_vocab(vocab) for c in self.clients])
 
 
 @dataclass(frozen=True)

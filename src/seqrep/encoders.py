@@ -39,6 +39,7 @@ from .nn import (
     reduce_sum,
     relu,
     reshape,
+    scalar_multiply,
     sigmoid,
     softmax_op,
     subtract,
@@ -63,6 +64,7 @@ __all__ = [
     "pool_batch",
     "pool_padded",
     "embed_pooled",
+    "zero_pinned_rows",
     "POOL_STRATEGIES",
 ]
 
@@ -131,6 +133,21 @@ class Linear:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"{self.prefix}/w", self.w), (f"{self.prefix}/b", self.b)]
+
+
+def _embedding_table(rng: np.random.Generator, config: EncoderConfig) -> Tensor:
+    """The (n_indices, d_emb) code embedding, with row 0 (padding and the
+    mask token) at zero."""
+    table = rng.normal(0.0, 0.1, size=(config.n_indices, config.d_emb))
+    table[0] = 0.0
+    return Tensor(table, requires_grad=True)
+
+
+def zero_pinned_rows(grads: dict[str, np.ndarray]) -> None:
+    """Zero the gradient of embedding row 0, so that row stays exactly zero."""
+    g = grads.get("emb/table")
+    if g is not None:
+        g[0] = 0.0
 
 
 def embed_batch(table: Tensor, mcc_idx: np.ndarray, amounts_t: np.ndarray) -> Tensor:
@@ -229,9 +246,7 @@ class GruEncoder:
     def __init__(self, config: EncoderConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        table = rng.normal(0.0, 0.1, size=(config.n_indices, config.d_emb))
-        table[0] = 0.0
-        self.emb_table = Tensor(table, requires_grad=True)
+        self.emb_table = _embedding_table(rng, config)
         self.core = GruCore(rng, config.input_width, config.hidden)
         self.gates = self.core.gates
 
@@ -241,12 +256,6 @@ class GruEncoder:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("emb/table", self.emb_table)] + self.core.parameters("gru")
-
-    def zero_pinned_rows(self, grads: dict[str, np.ndarray]) -> None:
-        """Keep table row 0 (padding/mask) at exactly zero."""
-        g = grads.get("emb/table")
-        if g is not None:
-            g[0] = 0.0
 
     def forward(self, mcc_idx: np.ndarray, amounts_t: np.ndarray,
                 lengths: Optional[np.ndarray] = None) -> tuple[Tensor, None]:
@@ -347,9 +356,7 @@ class TransformerEncoder:
         self.config = config
         rng = np.random.default_rng(seed)
         d_in, d = config.input_width, config.hidden
-        table = rng.normal(0.0, 0.1, size=(config.n_indices, config.d_emb))
-        table[0] = 0.0
-        self.emb_table = Tensor(table, requires_grad=True)
+        self.emb_table = _embedding_table(rng, config)
         self.cls = Tensor(rng.normal(0.0, 0.1, size=(1, d_in)), requires_grad=True)
         self.proj = Linear(rng, d_in, d, "proj")
         self.blocks = []
@@ -382,11 +389,6 @@ class TransformerEncoder:
                 out.append((f"block{bi}/{key}", blk[key]))
         return out
 
-    def zero_pinned_rows(self, grads: dict[str, np.ndarray]) -> None:
-        g = grads.get("emb/table")
-        if g is not None:
-            g[0] = 0.0
-
     def _attention(self, x: Tensor, blk: dict, mask_add: np.ndarray,
                    b: int, s: int) -> Tensor:
         d = self.config.hidden
@@ -401,7 +403,7 @@ class TransformerEncoder:
         q = split_heads(blk["wq"](x))
         k = split_heads(blk["wk"](x))
         v = split_heads(blk["wv"](x))
-        scores = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(dh))
+        scores = scalar_multiply(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
         scores = add(scores, Tensor(mask_add))
         weights = softmax_op(scores)
         ctx = matmul(weights, v)

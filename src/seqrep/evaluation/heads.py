@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..encoders import Linear
-from ..nn import Adam, Tape, Tensor, log_softmax, multiply, reduce_sum, relu, scalar_multiply, softmax
+from ..nn import Adam, Tape, Tensor, relu, softmax
+from ..objectives.losses import cross_entropy
 from ..objectives.train import named_grads
 
 __all__ = [
@@ -53,9 +54,6 @@ class MlpProbe:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return self.fc1.parameters() + self.fc2.parameters()
 
-    def zero_pinned_rows(self, grads) -> None:
-        pass
-
     def _logits(self, x: np.ndarray) -> Tensor:
         return self.fc2(relu(self.fc1(Tensor(x))))
 
@@ -80,11 +78,7 @@ class MlpProbe:
             for lo in range(0, len(x), cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
                 with Tape() as tape:
-                    ls = log_softmax(self._logits(x[idx]))
-                    loss = scalar_multiply(
-                        reduce_sum(multiply(ls, Tensor(onehot[idx]))),
-                        -1.0 / len(idx),
-                    )
+                    loss = cross_entropy(self._logits(x[idx]), onehot[idx])
                 grads = named_grads(self, tape, loss)
                 optimizer.step([grads[n] for n in names])
         return self

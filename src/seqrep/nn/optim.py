@@ -1,80 +1,48 @@
-"""Bias-corrected Adam on plain float64 arrays."""
+"""Bias-corrected Adam on the float64 arrays of parameter tensors."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import ShapeError, Tensor
 
-__all__ = ["AdamState", "adam_step", "Adam"]
-
-
-@dataclass
-class AdamState:
-    """Per-parameter moments plus the shared step counter."""
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update. Returns new parameter arrays; state is updated.
-
-    Parameters are visited in list order, which callers keep fixed, so the
-    update sequence is deterministic. A zero gradient leaves the matching
-    parameter unchanged on the first step (bias correction cancels).
-    """
-    if len(params) != len(grads):
-        raise ShapeError(
-            f"adam_step got {len(params)} params but {len(grads)} grads"
-        )
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match parameter {p.shape}"
-            )
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    if len(state.m) != len(params):
-        raise ShapeError("optimizer state was built for a different parameter list")
-
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out, state
+__all__ = ["Adam"]
 
 
 class Adam:
-    """Optimizer bound to a fixed, ordered list of parameter tensors."""
+    """Optimizer bound to a fixed, ordered list of parameter tensors.
+
+    Parameters are visited in list order, so the update sequence is
+    deterministic. A zero gradient leaves the matching parameter unchanged
+    on the first step (bias correction cancels).
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads: list[np.ndarray]) -> None:
-        values = [p.data for p in self.params]
-        new_values, _ = adam_step(values, grads, self.state)
-        for p, v in zip(self.params, new_values):
-            p.data = v
+        """One update of every parameter from its gradient, in list order."""
+        if len(self.params) != len(grads):
+            raise ShapeError(
+                f"Adam.step got {len(self.params)} params but {len(grads)} grads"
+            )
+        for p, g in zip(self.params, grads):
+            if p.data.shape != g.shape:
+                raise ShapeError(
+                    f"gradient shape {g.shape} does not match parameter {p.data.shape}"
+                )
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat = self.m[i] / c1
+            v_hat = self.v[i] / c2
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -32,15 +32,12 @@ __all__ = [
     "tanh",
     "sigmoid",
     "relu",
-    "exp",
-    "log",
     "sqrt",
     "maximum",
     "concat",
     "take_slice",
     "gather",
     "reduce_sum",
-    "reduce_mean",
     "reduce_max",
     "transpose",
     "reshape",
@@ -132,60 +129,6 @@ class Tensor:
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad})"
-
-    # Operator sugar; everything routes through apply_primitive.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return subtract(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return subtract(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_multiply(self, float(other))
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_multiply(self, float(other))
-        return multiply(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_multiply(self, 1.0 / float(other))
-        return divide(self, other)
-
-    def __neg__(self):
-        return scalar_multiply(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return take_slice(self, key)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False):
-        return reduce_max(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes=axes)
 
 
 def _as_tensor(x) -> Tensor:
@@ -468,25 +411,6 @@ def _vjp_relu(g, saved, params, shapes):
     return (g * (x > 0.0),)
 
 
-def _fw_exp(params, x):
-    y = np.exp(x)
-    return y, (y,)
-
-
-def _vjp_exp(g, saved, params, shapes):
-    (y,) = saved
-    return (g * y,)
-
-
-def _fw_log(params, x):
-    return np.log(x), (x,)
-
-
-def _vjp_log(g, saved, params, shapes):
-    (x,) = saved
-    return (g / x,)
-
-
 def _fw_sqrt(params, x):
     y = np.sqrt(x)
     return y, (y,)
@@ -556,32 +480,11 @@ def _fw_reduce_sum(params, x):
     return np.sum(x, axis=params["axis"], keepdims=params["keepdims"]), (x.shape,)
 
 
-def _expand_reduced(g, in_shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, in_shape).copy()
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, in_shape).copy()
-
-
 def _vjp_reduce_sum(g, saved, params, shapes):
     (in_shape,) = saved
-    return (_expand_reduced(g, in_shape, params["axis"], params["keepdims"]),)
-
-
-def _fw_reduce_mean(params, x):
-    return np.mean(x, axis=params["axis"], keepdims=params["keepdims"]), (x.shape,)
-
-
-def _vjp_reduce_mean(g, saved, params, shapes):
-    (in_shape,) = saved
-    axis = params["axis"]
-    if axis is None:
-        count = int(np.prod(in_shape))
-    else:
-        count = in_shape[axis]
-    g = _expand_reduced(g, in_shape, axis, params["keepdims"])
-    return (g / count,)
+    if params["axis"] is not None and not params["keepdims"]:
+        g = np.expand_dims(g, params["axis"])
+    return (np.broadcast_to(g, in_shape).copy(),)
 
 
 def _fw_reduce_max(params, x):
@@ -834,15 +737,12 @@ for _name, _f, _v in [
     ("tanh", _fw_tanh, _vjp_tanh),
     ("sigmoid", _fw_sigmoid, _vjp_sigmoid),
     ("relu", _fw_relu, _vjp_relu),
-    ("exp", _fw_exp, _vjp_exp),
-    ("log", _fw_log, _vjp_log),
     ("sqrt", _fw_sqrt, _vjp_sqrt),
     ("maximum", _fw_maximum, _vjp_maximum),
     ("concat", _fw_concat, _vjp_concat),
     ("slice", _fw_slice, _vjp_slice),
     ("gather", _fw_gather, _vjp_gather),
     ("reduce_sum", _fw_reduce_sum, _vjp_reduce_sum),
-    ("reduce_mean", _fw_reduce_mean, _vjp_reduce_mean),
     ("reduce_max", _fw_reduce_max, _vjp_reduce_max),
     ("transpose", _fw_transpose, _vjp_transpose),
     ("reshape", _fw_reshape, _vjp_reshape),
@@ -892,14 +792,6 @@ def relu(x: Tensor) -> Tensor:
     return apply_primitive("relu", x)
 
 
-def exp(x: Tensor) -> Tensor:
-    return apply_primitive("exp", x)
-
-
-def log(x: Tensor) -> Tensor:
-    return apply_primitive("log", x)
-
-
 def sqrt(x: Tensor) -> Tensor:
     return apply_primitive("sqrt", x)
 
@@ -930,10 +822,6 @@ def gather(table: Tensor, indices) -> Tensor:
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return apply_primitive("reduce_sum", x, axis=axis, keepdims=keepdims)
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return apply_primitive("reduce_mean", x, axis=axis, keepdims=keepdims)
 
 
 def reduce_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -27,6 +27,7 @@ __all__ = [
     "normalize_rows",
     "contrastive_loss",
     "ts2vec_hierarchical_loss",
+    "cross_entropy",
     "masked_joint_loss",
 ]
 
@@ -139,6 +140,13 @@ def ts2vec_hierarchical_loss(z1: Tensor, z2: Tensor, alpha: float = 0.5) -> Tens
     return scalar_multiply(total, 1.0 / len(terms))
 
 
+def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """-(sum of log_softmax(logits) * onehot) / onehot.sum(): the mean
+    cross-entropy over the rows that `onehot` marks (all-zero rows drop out)."""
+    picked = reduce_sum(multiply(log_softmax(logits), Tensor(onehot)))
+    return scalar_multiply(picked, -1.0 / onehot.sum())
+
+
 def masked_joint_loss(
     mcc_logits: Tensor,
     amount_pred: Tensor,
@@ -166,8 +174,7 @@ def masked_joint_loss(
     onehot = np.zeros((b, length, v))
     rows, cols = np.nonzero(mask)
     onehot[rows, cols, safe[rows, cols]] = 1.0
-    ls = log_softmax(mcc_logits)
-    ce = scalar_multiply(reduce_sum(multiply(ls, Tensor(onehot))), -1.0 / count)
+    ce = cross_entropy(mcc_logits, onehot)
 
     diff = subtract(reshape(amount_pred, (b, length)), Tensor(np.where(mask > 0, amount_targets, 0.0)))
     diff = multiply(diff, Tensor(mask))

@@ -24,9 +24,10 @@ from ..encoders import (
     embed_batch,
     pool_batch,
 )
-from ..nn import Tensor, log_softmax, matmul, multiply, reduce_sum, relu, reshape, scalar_multiply
+from ..nn import Tensor, matmul, relu, reshape
 from .losses import (
     contrastive_loss,
+    cross_entropy,
     masked_joint_loss,
     normalize_rows,
     ts2vec_hierarchical_loss,
@@ -123,24 +124,22 @@ def _crop(seq: ClientSequence, max_len: int, rng: np.random.Generator,
     return seq.mcc_idx[start : start + max_len], seq.amounts_t[start : start + max_len]
 
 
-class _GruObjective:
-    """Shared plumbing for models built around one GRU encoder."""
+class _Objective:
+    """Shared plumbing: one encoder of `encoder_class`, and its pooling."""
 
     objective = "base"
+    encoder_class = GruEncoder
 
     def __init__(self, encoder_cfg: EncoderConfig, cfg: TrainConfig, seed: int):
         self.cfg = cfg
-        self.encoder = GruEncoder(encoder_cfg, seed=seed)
+        self.encoder = self.encoder_class(encoder_cfg, seed=seed)
         self.pool_strategy = _resolve_pool(self.objective, cfg.pool)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return self.encoder.parameters()
 
-    def zero_pinned_rows(self, grads: dict[str, np.ndarray]) -> None:
-        self.encoder.zero_pinned_rows(grads)
 
-
-class SupervisedModel(_GruObjective):
+class SupervisedModel(_Objective):
     """GRU, pooled state, two-layer perceptron over class logits."""
 
     objective = "supervised"
@@ -172,21 +171,17 @@ class SupervisedModel(_GruObjective):
             batches.append({"mcc": mcc, "amt": amt, "lengths": lengths, "labels": labels})
         return batches
 
-    def logits_batch(self, mcc, amt, lengths) -> Tensor:
-        hidden, _ = self.encoder.forward(mcc, amt)
-        pooled = pool_batch(hidden, lengths, self.pool_strategy)
-        return self.fc2(relu(self.fc1(pooled)))
-
     def loss(self, batch: dict) -> Tensor:
-        logits = self.logits_batch(batch["mcc"], batch["amt"], batch["lengths"])
+        hidden, _ = self.encoder.forward(batch["mcc"], batch["amt"])
+        pooled = pool_batch(hidden, batch["lengths"], self.pool_strategy)
+        logits = self.fc2(relu(self.fc1(pooled)))
         n, v = logits.shape
         onehot = np.zeros((n, v))
         onehot[np.arange(n), batch["labels"]] = 1.0
-        ls = log_softmax(logits)
-        return scalar_multiply(reduce_sum(multiply(ls, Tensor(onehot))), -1.0 / n)
+        return cross_entropy(logits, onehot)
 
 
-class ColesModel(_GruObjective):
+class ColesModel(_Objective):
     """Contrastive slices: same client together, different clients apart."""
 
     objective = "coles"
@@ -226,7 +221,7 @@ class ColesModel(_GruObjective):
         return contrastive_loss(pooled, batch["ids"], margin=self.cfg.margin)
 
 
-class Ts2VecModel(_GruObjective):
+class Ts2VecModel(_Objective):
     """Two overlapping crops per client, hierarchical consistency loss."""
 
     objective = "ts2vec"
@@ -293,7 +288,7 @@ class _PredictionHeads:
         return self.mcc.parameters() + self.amount.parameters()
 
 
-class ArModel(_GruObjective):
+class ArModel(_Objective):
     """Next-transaction prediction from the causal hidden state."""
 
     objective = "ar"
@@ -338,7 +333,7 @@ class ArModel(_GruObjective):
         )
 
 
-class AeModel(_GruObjective):
+class AeModel(_Objective):
     """Sequence autoencoder: pooled state seeds a double-width decoder."""
 
     objective = "ae"
@@ -385,23 +380,19 @@ class AeModel(_GruObjective):
         )
 
 
-class MlmModel:
+class MlmModel(_Objective):
     """Masked reconstruction with the bidirectional attention encoder."""
 
     objective = "mlm"
+    encoder_class = TransformerEncoder
 
     def __init__(self, encoder_cfg: EncoderConfig, cfg: TrainConfig, seed: int):
-        self.cfg = cfg
-        self.encoder = TransformerEncoder(encoder_cfg, seed=seed)
-        self.pool_strategy = _resolve_pool("mlm", cfg.pool)
+        super().__init__(encoder_cfg, cfg, seed)
         rng = np.random.default_rng((seed, 4))
         self.heads = _PredictionHeads(rng, encoder_cfg.hidden, encoder_cfg.n_indices, "head")
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return self.encoder.parameters() + self.heads.parameters()
-
-    def zero_pinned_rows(self, grads: dict[str, np.ndarray]) -> None:
-        self.encoder.zero_pinned_rows(grads)
+        return super().parameters() + self.heads.parameters()
 
     def iter_batches(self, clients: Sequence[ClientSequence],
                      rng: np.random.Generator) -> list[dict]:

@@ -25,10 +25,6 @@ class SubsequenceSample:
     start: int
     end: int
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 def coles_sample_subsequences(
     sequences: Sequence[ClientSequence],

@@ -1,7 +1,8 @@
 """Objective-agnostic training loop.
 
-A model supplies `parameters()`, `iter_batches(clients, rng)`, `loss(batch)`,
-and `zero_pinned_rows(grads)`. The loop runs Adam over materialized batches,
+A model supplies `parameters()`, `iter_batches(clients, rng)` and
+`loss(batch)`; the embedding table's pinned row is kept at zero by
+`encoders.zero_pinned_rows`. The loop runs Adam over materialized batches,
 tracks a fixed validation loss every epoch, and restores the parameters from
 the best validation epoch before returning. All randomness is derived from
 the seed, so a rerun reproduces the run bit for bit.
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..data.types import ClientSequence
+from ..encoders import zero_pinned_rows
 from ..nn import Adam, NonFiniteError, Tape, Tensor, backward
 
 __all__ = ["EpochStats", "TrainResult", "train", "named_grads"]
@@ -100,7 +102,7 @@ def train(model, train_clients: Sequence[ClientSequence],
                 raise NonFiniteError(
                     f"epoch {epoch} batch {bi}: {err}"
                 ) from err
-            model.zero_pinned_rows(grads)
+            zero_pinned_rows(grads)
             optimizer.step([grads[n] for n in names])
             running += loss.item()
         train_loss = running / len(batches)

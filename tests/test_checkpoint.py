@@ -106,6 +106,24 @@ def test_store_section_bytes_match_the_row_by_row_layout(tmp_path, rng):
                                       global_augmenter(loaded, method, m)(clients, own))
 
 
+def test_non_finite_tensor_is_format_error(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(path, DIGEST, tensors={"emb/table": np.ones((2, 2)),
+                                           "gru/u_z": np.array([[np.inf, 0.0]])})
+    with pytest.raises(CheckpointFormatError, match="tensor 'gru/u_z' has non-finite"):
+        load_checkpoint(path)
+
+
+def test_non_finite_store_row_is_format_error(tmp_path):
+    store = EmbeddingStore(dim=2)
+    store.add_series("c0", np.array([1]), np.array([[5.0, 6.0]]))
+    store.add_series("c1", np.array([3, 9]), np.array([[1.0, 2.0], [np.nan, 4.0]]))
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(path, DIGEST, store=store)
+    with pytest.raises(CheckpointFormatError, match="context store for 'c1'"):
+        load_checkpoint(path)
+
+
 def test_reserved_tensor_names_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="reserved"):
         save_checkpoint(tmp_path / "x.ckpt", DIGEST,

@@ -1,10 +1,11 @@
 """Command line: full workflow, study subcommands, digest guard, exit codes."""
 import json
 
+import numpy as np
 import pytest
 
 from seqrep import __version__
-from seqrep.checkpoint import load_model
+from seqrep.checkpoint import load_checkpoint, load_model, save_checkpoint
 from seqrep.cli import main
 from seqrep.config import config_from_values, load_config, render_config
 from seqrep.context import AGGREGATION_METHODS, build_store, train_attention_matrix
@@ -264,6 +265,67 @@ def test_bad_input_is_operational_error(workdir, tmp_path, capsys):
               "--data", workdir / "data", "--out", tmp_path / "r.json"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_is_operational_error(workdir, tmp_path, capsys):
+    common = ["--config", workdir / "run.cfg", "--data", workdir / "data"]
+    ckpt = load_checkpoint(workdir / "model.ckpt")
+    ckpt.tensors["gru/u_z"][0, 0] = np.inf
+    save_checkpoint(tmp_path / "bad.ckpt", ckpt.digest, tensors=ckpt.tensors,
+                    meta=ckpt.meta, vocab=ckpt.vocab)
+    assert run(["embed", *common, "--checkpoint", tmp_path / "bad.ckpt",
+                "--out", tmp_path / "e.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'gru/u_z'" in err and "Traceback" not in err
+
+    assert run(["build-context", *common, "--checkpoint", workdir / "model.ckpt",
+                "--out", tmp_path / "ctx.ckpt"]) == 0
+    ctx = load_checkpoint(tmp_path / "ctx.ckpt")
+    cid = ctx.store.client_ids()[0]
+    ctx.store.series[cid][1][0, 0] = np.nan
+    save_checkpoint(tmp_path / "bad_ctx.ckpt", ctx.digest, tensors=ctx.tensors,
+                    store=ctx.store)
+    assert run(["eval", *common, "--checkpoint", workdir / "model.ckpt",
+                "--context", tmp_path / "bad_ctx.ckpt", "--out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(cid) in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_non_finite_values_are_operational_errors(workdir, tmp_path, capsys):
+    # Amounts that overflow to inf are rejected when the data are built; a
+    # rate large enough to blow up the weights fails training with the
+    # tape's NonFiniteError, reported like any other operational error.
+    text = (workdir / "run.cfg").read_text()
+    for override, needle in (("data.amount_sigma = 1000.0", "non-finite amount"),
+                             ("train.lr = 1e300", "non-finite")):
+        key = override.split(" = ")[0]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("".join(line for line in text.splitlines(True)
+                               if not line.startswith(key + " ")) + override + "\n")
+        assert run(["train", "--config", bad, "--out", tmp_path / "m.ckpt"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and needle in err and "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("key", ["train.lr", "eval.probe_lr", "context.attn_lr"])
+@pytest.mark.parametrize("rate", ["0", "-0.01"])
+def test_non_positive_learning_rate_fails_before_work(workdir, tmp_path, capsys,
+                                                      key, rate):
+    bad = tmp_path / "bad.cfg"
+    text = "".join(line for line in (workdir / "run.cfg").read_text().splitlines(True)
+                   if not line.startswith(key + " "))
+    bad.write_text(text + f"{key} = {rate}\n")
+    for command in ("train", "eval"):
+        args = [command, "--config", bad, "--data", workdir / "data",
+                "--out", tmp_path / "out"]
+        if command == "eval":
+            args += ["--checkpoint", workdir / "model.ckpt"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors_exit_two(capsys):

@@ -102,8 +102,6 @@ def test_config_get_and_section():
     cfg = default_config()
     with pytest.raises(ConfigError, match="unknown"):
         cfg.get("nope.nope")
-    sec = cfg.section("split")
-    assert set(sec) == {"train", "val", "test", "seed"}
 
 
 def test_builders_map_sections():
@@ -141,6 +139,17 @@ def test_bad_objective_rejected(tmp_path):
 
 def test_bad_context_method_rejected(tmp_path):
     bad_choice_rejected(tmp_path, "context.method")
+
+
+@pytest.mark.parametrize("key", ["train.lr", "eval.probe_lr", "context.attn_lr"])
+@pytest.mark.parametrize("rate", [0.0, -0.01, float("nan")])
+def test_non_positive_learning_rate_rejected(tmp_path, key, rate):
+    with pytest.raises(ConfigError, match=f"{key} must be positive"):
+        config_from_values({**default_config().values, key: rate})
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {rate}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
 
 
 def test_default_digest_is_pinned():

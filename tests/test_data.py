@@ -138,7 +138,7 @@ def test_with_vocab_attaches_indices():
 
 def make_dataset(n):
     clients = [make_seq(f"c{i:03d}", [1, 2, 3]) for i in range(n)]
-    return Dataset(clients=clients, vocab=None, provenance="test")
+    return Dataset(clients=clients)
 
 
 def test_split_sizes_and_disjointness():
@@ -176,7 +176,7 @@ def test_derive_local_labels_horizon():
     ts = np.array([0, 10 * day, 25 * day, 40 * day], dtype=np.int64) + 10
     pos = make_seq("p", [1, 1, 1, 1], ts=ts, global_label=1)
     neg = make_seq("n", [1, 1, 1, 1], ts=ts, global_label=0)
-    ds = Dataset(clients=[pos, neg], vocab=None, provenance="t")
+    ds = Dataset(clients=[pos, neg])
     out = derive_local_labels(ds, horizon_days=30.0)
     np.testing.assert_array_equal(out.clients[0].local_labels, [0, 0, 1, 1])
     np.testing.assert_array_equal(out.clients[1].local_labels, [0, 0, 0, 0])
@@ -371,6 +371,19 @@ def test_annotated_copies_only_annotations():
     assert out.amounts_t is seq.amounts_t and out.global_label == 1
     with pytest.raises(TypeError, match="not an annotation"):
         seq.annotated(amounts=[1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_client_sequence_rejects_non_finite_amounts(bad):
+    with pytest.raises(ValueError, match="client a: non-finite amount"):
+        make_seq("a", [10, 20, 10], amounts=[1.0, bad, 3.0])
+
+
+def test_synthetic_amount_overflow_names_the_client():
+    # exp of a draw with sigma 1000 overflows to inf in the first client.
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="client c0: non-finite amount"):
+            generate_synthetic(SyntheticConfig(n_clients=4, amount_sigma=1000.0))
 
 
 def test_ingest_missing_column_is_typed_error(tmp_path):
@@ -577,7 +590,7 @@ def test_blank_rows_are_skipped_without_warnings(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ds = ingest_csv(p)
-    assert ds.client_ids() == ["a", "b"]
+    assert [c.client_id for c in ds] == ["a", "b"]
     assert ds.clients[1].amounts.tolist() == [-6.0]
 
 

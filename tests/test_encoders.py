@@ -20,6 +20,7 @@ from seqrep.encoders import (
     pool_batch,
     pool_global,
     pool_padded,
+    zero_pinned_rows,
 )
 from seqrep.evaluation.protocol import FrozenModel, global_embeddings
 from seqrep.evaluation.windows import sliding_window_embed_many
@@ -92,7 +93,7 @@ def test_gru_padding_row_is_zero(gru):
 
 def test_gru_zero_pinned_rows(gru):
     grads = {name: np.ones_like(t.data) for name, t in gru.parameters()}
-    gru.zero_pinned_rows(grads)
+    zero_pinned_rows(grads)
     emb_name = next(n for n in grads if "emb" in n)
     np.testing.assert_array_equal(grads[emb_name][0], np.zeros(6))
     assert np.all(grads[emb_name][1:] == 1.0)

@@ -30,7 +30,7 @@ def test_coles_slices_are_in_bounds(tiny_clients, rng):
     for s in samples:
         seq = tiny_clients[s.client_index]
         assert 0 <= s.start < s.end <= len(seq)
-        assert 10 <= s.length <= 30
+        assert 10 <= s.end - s.start <= 30
 
 
 def test_coles_skips_short_clients_with_warning(tiny_clients):

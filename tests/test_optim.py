@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from seqrep.nn import Adam, Tensor, adam_step
-from seqrep.nn.optim import AdamState
+from seqrep.nn import Adam, ShapeError, Tensor
 
 
 def reference_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -51,9 +50,15 @@ def test_zero_grad_leaves_param_unchanged():
 
 
 def test_adam_step_rejects_mismatched_grads():
-    state = AdamState(lr=0.1)
-    with pytest.raises(ValueError):
-        adam_step([np.zeros(3)], [np.zeros(3), np.zeros(2)], state)
+    p = Tensor(np.ones(3), requires_grad=True)
+    opt = Adam([p], lr=0.1)
+    with pytest.raises(ShapeError, match="1 params but 2 grads"):
+        opt.step([np.zeros(3), np.zeros(2)])
+    with pytest.raises(ShapeError, match="does not match"):
+        opt.step([np.zeros(2)])
+    # A rejected step changes neither the parameter nor the step count.
+    np.testing.assert_array_equal(p.data, np.ones(3))
+    assert opt.t == 0
 
 
 def test_adam_is_deterministic(rng):

@@ -66,8 +66,8 @@ def test_load_dataset_from_csv_round_trips(tiny_cfg, tmp_path):
     write_change_points_csv(dataset, tmp_path / "change_points.csv")
 
     loaded = load_dataset(tiny_cfg, data_dir=tmp_path)
-    assert sorted(loaded.client_ids()) == sorted(dataset.client_ids())
-    by_id = loaded.by_id()
+    by_id = {c.client_id: c for c in loaded}
+    assert sorted(by_id) == sorted(c.client_id for c in dataset)
     for c in dataset:
         twin = by_id[c.client_id]
         np.testing.assert_array_equal(twin.mcc, c.mcc)
