@@ -193,8 +193,11 @@ def generate_synthetic(config: SyntheticConfig, seed: Optional[int] = None) -> D
             in_distress[tau:] = True
         shift = (config.distress_amount_shift * in_distress
                  + config.exo_amount_shift * (exo == 1))
-        amounts = np.exp(log_mu[mcc_ix] + shift
-                         + rng.normal(0.0, config.amount_sigma, size=length))
+        # An overflow leaves inf, which ClientSequence rejects with a typed
+        # error; numpy's warning would only precede it.
+        with np.errstate(over="ignore"):
+            amounts = np.exp(log_mu[mcc_ix] + shift
+                             + rng.normal(0.0, config.amount_sigma, size=length))
         refunds = rng.random(length) < config.refund_prob
         amounts = np.where(refunds, -amounts, amounts)
 

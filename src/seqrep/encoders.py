@@ -28,6 +28,7 @@ from .nn import (
     TapeError,
     Tensor,
     add,
+    attention,
     concat,
     gather,
     gru_scan,
@@ -39,9 +40,7 @@ from .nn import (
     reduce_sum,
     relu,
     reshape,
-    scalar_multiply,
     sigmoid,
-    softmax_op,
     subtract,
     take_slice,
     tanh,
@@ -403,10 +402,7 @@ class TransformerEncoder:
         q = split_heads(blk["wq"](x))
         k = split_heads(blk["wk"](x))
         v = split_heads(blk["wv"](x))
-        scores = scalar_multiply(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        scores = add(scores, Tensor(mask_add))
-        weights = softmax_op(scores)
-        ctx = matmul(weights, v)
+        ctx = attention(q, k, v, mask_add, 1.0 / np.sqrt(dh))
         ctx = reshape(ctx, (b, n_heads, s, dh))
         ctx = transpose(ctx, (0, 2, 1, 3))
         ctx = reshape(ctx, (b, s, d))

@@ -2,7 +2,10 @@
 
 Forward primitives run as plain numpy when no tape is active (inference
 mode). With an active tape, any primitive touching a grad-requiring input
-is recorded and `backward` replays the records in reverse. Everything is
+is recorded and `backward` replays the records in reverse. A record keeps
+its output's shape and only the arrays its adjoint reads, and `backward`
+consumes the tape, dropping each record once replayed, so an intermediate
+array lives no longer than the last adjoint that needs it. Everything is
 64-bit and single-threaded per tape, so repeated passes are bit-identical.
 """
 
@@ -21,6 +24,7 @@ __all__ = [
     "NonFiniteError",
     "TapeError",
     "apply_primitive",
+    "attention",
     "backward",
     "softmax",
     "add",
@@ -144,17 +148,22 @@ class Record:
     output_id: int
     params: dict
     saved: tuple
-    output: np.ndarray
+    shape: tuple[int, ...]
 
 
 @dataclass
 class Tape:
-    """Append-only record of primitive applications, in execution order."""
+    """Append-only record of primitive applications, in execution order.
+
+    `backward` empties `records` as it replays them and marks the tape
+    consumed; a consumed tape cannot be replayed again.
+    """
 
     records: list[Record] = field(default_factory=list)
     _next_id: int = 0
     leaf_values: dict[int, np.ndarray] = field(default_factory=dict)
     leaf_requires: dict[int, bool] = field(default_factory=dict)
+    consumed: bool = False
 
     def new_id(self) -> int:
         nid = self._next_id
@@ -214,7 +223,7 @@ def apply_primitive(op: str, *inputs: Tensor, **params) -> Tensor:
     # numpy warnings so the typed error is the only signal.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out_data, saved = fwd(params, *arrays)
-    _check_finite(op, out_data)
+        _check_finite(op, out_data)
 
     tape = active_tape()
     needs = any(t.requires_grad for t in inputs)
@@ -225,7 +234,7 @@ def apply_primitive(op: str, *inputs: Tensor, **params) -> Tensor:
         out._tape = tape
         out._node_id = out_id
         tape.records.append(
-            Record(op, input_ids, out_id, params, saved, out_data)
+            Record(op, input_ids, out_id, params, saved, out_data.shape)
         )
     return out
 
@@ -235,12 +244,19 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
 
     Returns a map node-id -> gradient array. Leaves unreachable from the
     loss get explicit zeros. Iteration order is the reverse record order,
-    so repeated calls are bit-identical.
+    so repeated passes are bit-identical.
+
+    The replay consumes the tape: each record is dropped once its adjoint
+    has run, which frees the arrays it saved, and a second `backward` on
+    the same tape raises TapeError.
     """
     if loss._tape is not tape or loss._node_id is None:
         raise TapeError("loss tensor is not a node on this tape")
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
+    if tape.consumed:
+        raise TapeError("tape already consumed by an earlier backward")
+    tape.consumed = True
 
     grads: dict[int, np.ndarray] = {
         loss._node_id: np.ones_like(loss.data)
@@ -249,9 +265,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         nid: v.shape for nid, v in tape.leaf_values.items()
     }
     for rec in tape.records:
-        shapes[rec.output_id] = rec.output.shape
+        shapes[rec.output_id] = rec.shape
 
-    for rec in reversed(tape.records):
+    records = tape.records
+    while records:
+        rec = records.pop()
         g = grads.pop(rec.output_id, None)
         if g is None:
             continue
@@ -575,6 +593,47 @@ def _vjp_layer_norm(g, saved, params, shapes):
     return ((g - gm - xhat * gx) * inv,)
 
 
+# ---------------------------------------------------------- masked attention
+#
+# softmax(q @ k^T * c + mask) @ v as one record, keeping only q, k^T, v and
+# the weights. Forward and adjoint repeat, op for op, what the composition
+# transpose, matmul, scalar_multiply, add, softmax, matmul computes, so both
+# match it bit for bit; the scores live in one buffer, updated in place.
+
+def _fw_attention(params, q, k, v, mask):
+    if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape[0] != q.shape[0]
+            or k.shape[2] != q.shape[2] or v.shape[:2] != k.shape[:2]):
+        raise ShapeError(
+            f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    k_t = np.transpose(k, (0, 2, 1)).copy()
+    w = np.matmul(q, k_t)
+    w *= params["c"]
+    w += mask
+    # Screen the scores too: a -inf score would vanish in the softmax and
+    # leave the output finite.
+    if not np.isfinite(w.sum()):
+        raise NonFiniteError(
+            f"primitive 'attention' produced non-finite scores of shape {w.shape}")
+    w -= np.max(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.sum(w, axis=-1, keepdims=True)
+    return np.matmul(w, v), (q, k_t, v, w)
+
+
+def _vjp_attention(g, saved, params, shapes):
+    q, k_t, v, w = saved
+    gw = np.matmul(g, np.swapaxes(v, -1, -2))
+    gv = np.matmul(np.swapaxes(w, -1, -2), g)
+    # Softmax adjoint w * (gw - dot), then the scale, in the same order.
+    dot = np.sum(gw * w, axis=-1, keepdims=True)
+    gw -= dot
+    gw *= w
+    gw *= params["c"]
+    gq = np.matmul(gw, np.swapaxes(k_t, -1, -2))
+    gk_t = np.matmul(np.swapaxes(q, -1, -2), gw)
+    return gq, np.transpose(gk_t, (0, 2, 1)).copy(), gv, None
+
+
 # ------------------------------------------------------------------ GRU scan
 #
 # The whole recurrence h_t = (1 - z) * h_{t-1} + z * h_tilde. The kernel runs
@@ -749,6 +808,7 @@ for _name, _f, _v in [
     ("softmax", _fw_softmax, _vjp_softmax),
     ("log_softmax", _fw_log_softmax, _vjp_log_softmax),
     ("layer_norm", _fw_layer_norm, _vjp_layer_norm),
+    ("attention", _fw_attention, _vjp_attention),
     ("gru_scan", _fw_gru_scan, _vjp_gru_scan),
 ]:
     _register(_name, _f, _v)
@@ -848,6 +908,12 @@ def log_softmax(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     return apply_primitive("layer_norm", x, eps=float(eps))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, c: float) -> Tensor:
+    """softmax(q @ k^T * c + mask) @ v over (n, s, dh) heads; the additive
+    mask broadcasts against the (n, s, s) scores and gets no gradient."""
+    return apply_primitive("attention", q, k, v, _as_tensor(mask), c=float(c))
 
 
 def gru_scan(xz: Tensor, xr: Tensor, xh: Tensor, h0: Tensor,

@@ -24,7 +24,7 @@ from ..encoders import (
     embed_batch,
     pool_batch,
 )
-from ..nn import Tensor, matmul, relu, reshape
+from ..nn import Tensor, gather, relu, reshape
 from .losses import (
     contrastive_loss,
     cross_entropy,
@@ -264,10 +264,8 @@ class Ts2VecModel(_Objective):
     @staticmethod
     def _select_overlap(hidden: Tensor, offsets: np.ndarray, t_o: int) -> Tensor:
         b, length, d = hidden.shape
-        sel = np.zeros((b, t_o, length))
-        for i, off in enumerate(offsets):
-            sel[i, np.arange(t_o), off + np.arange(t_o)] = 1.0
-        return matmul(Tensor(sel), hidden)
+        rows = (np.arange(b) * length + np.asarray(offsets))[:, None] + np.arange(t_o)
+        return gather(reshape(hidden, (b * length, d)), rows)
 
     def loss(self, batch: dict) -> Tensor:
         h1, _ = self.encoder.forward(batch["mcc1"], batch["amt1"])
@@ -419,11 +417,8 @@ class MlmModel(_Objective):
         plan = batch["plan"]
         hidden, _ = self.encoder.forward(batch["mcc"], batch["amt"], batch["lengths"])
         b, width, d = hidden.shape
-        flat = reshape(hidden, (b * width, d))
         n = len(plan)
-        sel = np.zeros((n, b * width))
-        sel[np.arange(n), plan.rows * width + plan.cols] = 1.0
-        picked = matmul(Tensor(sel), flat)
+        picked = gather(reshape(hidden, (b * width, d)), plan.rows * width + plan.cols)
         # The picked positions form one all-valid row of the padded layout.
         logits = reshape(self.heads.mcc(picked), (1, n, -1))
         amounts = reshape(self.heads.amount(picked), (1, n, 1))

@@ -35,6 +35,7 @@ from seqrep.nn import (
     Tape,
     Tensor,
     add,
+    attention,
     concat,
     divide,
     gather,
@@ -110,6 +111,9 @@ def _primitive_cases(rng):
     r35 = rng.normal(size=(3, 5))
     r36 = rng.normal(size=(3, 6))
     r232 = rng.normal(size=(2, 3, 2))
+    # The second row's last key is padding, masked as the transformer masks it.
+    mask = np.zeros((2, 1, 3))
+    mask[1, 0, 2] = -1e30
     cases = {
         "add": (lambda a, b: _wsum(add(a, b), r34),
                 [rng.normal(size=(3, 4)), rng.normal(size=4)]),
@@ -155,6 +159,8 @@ def _primitive_cases(rng):
                         [2.0 * rng.normal(size=(3, 5))]),
         "layer_norm": (lambda x: _wsum(layer_norm(x), r36),
                        [2.0 * rng.normal(size=(3, 6))]),
+        "attention": (lambda q, k, v: _wsum(attention(q, k, v, mask, 0.7), r232),
+                      [rng.normal(size=(2, 3, 2)) for _ in range(3)]),
         # h0 is an input, as when the autoencoder's decoder starts from a
         # bridged state.
         "gru_scan": (lambda *a: _wsum(gru_scan(*a), r232),

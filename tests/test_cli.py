@@ -292,10 +292,12 @@ def test_non_finite_checkpoint_is_operational_error(workdir, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_values_are_operational_errors(workdir, tmp_path, capsys):
     # Amounts that overflow to inf are rejected when the data are built; a
     # rate large enough to blow up the weights fails training with the
-    # tape's NonFiniteError, reported like any other operational error.
+    # tape's NonFiniteError, reported like any other operational error. The
+    # typed error is the only signal: numpy's own warnings would fail here.
     text = (workdir / "run.cfg").read_text()
     for override, needle in (("data.amount_sigma = 1000.0", "non-finite amount"),
                              ("train.lr = 1e300", "non-finite")):

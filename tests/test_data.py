@@ -380,8 +380,10 @@ def test_client_sequence_rejects_non_finite_amounts(bad):
 
 
 def test_synthetic_amount_overflow_names_the_client():
-    # exp of a draw with sigma 1000 overflows to inf in the first client.
-    with np.errstate(over="ignore"):
+    # exp of a draw with sigma 1000 overflows to inf in the first client; the
+    # typed error is the only signal, with no numpy warning ahead of it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="client c0: non-finite amount"):
             generate_synthetic(SyntheticConfig(n_clients=4, amount_sigma=1000.0))
 

@@ -482,9 +482,10 @@ def test_transformer_whole_history_memory_is_bounded_by_its_budget(rng):
     finally:
         tracemalloc.stop()
     assert rows.shape == (40, 16)
-    # Scores, their masked copy and the softmax's two temporaries: about four
-    # budgets. One unchunked pass would hold 40 x 4 x 301^2 floats in each.
-    assert peak < 6 * encoders.ATTENTION_BYTES, peak / encoders.ATTENTION_BYTES
+    # The fused attention scores, scales, masks and normalises one buffer in
+    # place: about one budget. One unchunked pass would hold 40 x 4 x 301^2
+    # floats in it.
+    assert peak < 2 * encoders.ATTENTION_BYTES, peak / encoders.ATTENTION_BYTES
 
 
 def test_embed_pooled_validates_its_batch(gru, rng):

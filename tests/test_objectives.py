@@ -1,10 +1,12 @@
 """Objectives: samplers, loss functions, model batch plumbing, training loop."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from seqrep.config import make_encoder_config
-from seqrep.encoders import GruEncoder, TransformerEncoder
-from seqrep.nn import NonFiniteError, Tape, Tensor
+from seqrep.encoders import EncoderConfig, GruEncoder, TransformerEncoder
+from seqrep.nn import NonFiniteError, Tape, Tensor, backward, matmul, multiply, reduce_sum
 from seqrep.objectives import (
     OBJECTIVES,
     TrainConfig,
@@ -18,7 +20,8 @@ from seqrep.objectives import (
     train,
     ts2vec_hierarchical_loss,
 )
-from seqrep.objectives.models import _resolve_pool
+from seqrep.objectives.models import Ts2VecModel, _resolve_pool
+from seqrep.objectives.train import named_grads
 
 
 # ---------------------------------------------------------------- sampling
@@ -250,6 +253,31 @@ def test_ts2vec_batches_share_the_overlap(tiny_cfg, tiny_splits):
                                           batch["amt2"][i, :t_o])
 
 
+def test_ts2vec_overlap_gather_matches_the_one_hot_product(rng):
+    b, length, d, t_o = 3, 9, 4, 5
+    offsets = np.array([0, 4, 2])
+    r = rng.normal(size=(b, t_o, d))
+
+    def one_hot(hidden, offsets, t_o):
+        sel = np.zeros((b, t_o, length))
+        for i, off in enumerate(offsets):
+            sel[i, np.arange(t_o), off + np.arange(t_o)] = 1.0
+        return matmul(Tensor(sel), hidden)
+
+    def run(select):
+        with Tape() as tape:
+            hidden = Tensor(rng.normal(size=(b, length, d)), requires_grad=True)
+            z = select(hidden, offsets, t_o)
+            loss = reduce_sum(multiply(z, Tensor(r)))
+        return z.data, backward(tape, loss)[hidden.node_id_on(tape)]
+
+    state = rng.bit_generator.state
+    z, g = run(Ts2VecModel._select_overlap)
+    rng.bit_generator.state = state
+    ref_z, ref_g = run(one_hot)
+    assert np.array_equal(z, ref_z) and np.array_equal(g, ref_g)
+
+
 def test_supervised_needs_classes(tiny_cfg, tiny_splits):
     with pytest.raises(ValueError):
         build_model("supervised", enc_cfg(tiny_cfg, tiny_splits), TrainConfig(),
@@ -316,6 +344,31 @@ def test_train_is_bit_deterministic(tiny_cfg, tiny_splits):
     assert p1.keys() == p2.keys()
     for k in p1:
         assert np.array_equal(p1[k], p2[k]), k
+
+
+def test_mlm_training_step_memory_is_bounded(rng):
+    # One step at the benchmark's shape: 16 rows of 100, width 32, 4 heads.
+    # The tape keeps one (64, 101, 101) weight matrix per attention block and
+    # backward frees each record once replayed: about 30 MiB at peak, where
+    # records that kept every output and six primitives per attention block
+    # reached 93 MiB.
+    b, length = 16, 100
+    model = build_model("mlm", EncoderConfig(n_indices=101, d_emb=12, hidden=32),
+                        TrainConfig(), seed=0)
+    mcc = rng.integers(1, 101, size=(b, length))
+    cor_mcc, cor_amt, plan = mlm_corrupt(mcc, rng.normal(size=(b, length)),
+                                         np.ones((b, length), dtype=bool), seed=rng)
+    batch = {"mcc": cor_mcc, "amt": cor_amt, "lengths": np.full(b, length),
+             "plan": plan}
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = model.loss(batch)
+        named_grads(model, tape, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 def test_train_requires_clients(tiny_cfg, tiny_splits):

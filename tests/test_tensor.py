@@ -1,4 +1,7 @@
 """Autodiff core: forward oracles, backward semantics, tape bookkeeping."""
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,3 +290,126 @@ def test_grad_check_flags_small_wrong_gradient(monkeypatch):
 
     monkeypatch.setitem(T._VJP, "multiply", off_by_1e8)
     assert grad_check(_add_times_x, [x, y]) > 1e-4
+
+
+def test_mixed_infinities_raise_without_a_runtime_warning():
+    # [inf, -inf] sums to NaN; the screen must run where numpy is silenced.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match="'multiply'"):
+            T.multiply(Tensor(np.array([1e300, -1e300])), Tensor(np.full(2, 1e10)))
+
+
+# ------------------------------------------------------- tape lifetime
+
+def test_records_keep_shapes_not_outputs():
+    with Tape() as tape:
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = T.add(x, x)
+        y_data = weakref.ref(y.data)
+        T.reduce_sum(y)
+    del y
+    # Neither add nor reduce_sum's adjoint reads the sum itself.
+    assert y_data() is None
+    assert [r.shape for r in tape.records] == [(2, 3), ()]
+
+
+def test_backward_frees_each_record_once_replayed(monkeypatch):
+    with Tape() as tape:
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = T.sigmoid(T.tanh(x))
+        loss = T.reduce_sum(y)
+    saved_by_sigmoid = weakref.ref(y.data)
+    del y
+    freed = []
+    exact = T._VJP["tanh"]
+
+    def spy(g, saved, params, shapes):
+        freed.append(saved_by_sigmoid() is None)
+        return exact(g, saved, params, shapes)
+
+    monkeypatch.setitem(T._VJP, "tanh", spy)
+    backward(tape, loss)
+    assert freed == [True]
+
+
+def test_second_backward_on_a_tape_is_rejected():
+    with Tape() as tape:
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = T.reduce_sum(T.tanh(x))
+    backward(tape, loss)
+    assert tape.records == []
+    with pytest.raises(TapeError, match="consumed"):
+        backward(tape, loss)
+
+
+# ------------------------------------------------------- fused attention
+
+def composed_attention(q, k, v, mask, c):
+    """The six primitives `attention` replaces, as the transformer used them."""
+    scores = T.scalar_multiply(T.matmul(q, T.transpose(k, (0, 2, 1))), c)
+    return T.matmul(T.softmax_op(T.add(scores, Tensor(mask))), v)
+
+
+def attention_and_grads(fn, q, k, v, mask, c, r):
+    with Tape() as tape:
+        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = fn(*ts, mask, c)
+        loss = T.reduce_sum(T.multiply(out, Tensor(r)))
+    grads = backward(tape, loss)
+    return out.data, [grads[t.node_id_on(tape)] for t in ts]
+
+
+@pytest.mark.parametrize("lengths, heads", [
+    ([7, 4, 1], 4), ([7, 4, 1], 1), ([5], 1), ([5], 4), ([3, 3], 4)])
+def test_attention_matches_its_composition_bit_for_bit(lengths, heads):
+    rng = np.random.default_rng((len(lengths), heads))
+    b, s, dh = len(lengths), max(lengths) + 1, 3
+    # Slot 0 is the CLS position; keys past each row's length are padding.
+    valid = np.zeros((b, 1, s))
+    valid[:, 0, 1:] = np.where(np.arange(s - 1)[None, :] >= np.array(lengths)[:, None],
+                               -1e30, 0.0)
+    mask = np.repeat(valid, heads, axis=0)
+    q, k, v = (1.5 * rng.normal(size=(b * heads, s, dh)) for _ in range(3))
+    r = rng.normal(size=(b * heads, s, dh))
+    c = 1.0 / np.sqrt(dh)
+    out, grads = attention_and_grads(T.attention, q, k, v, mask, c, r)
+    ref_out, ref_grads = attention_and_grads(composed_attention, q, k, v, mask, c, r)
+    assert np.array_equal(out, ref_out)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
+def test_attention_records_once_and_passes_no_gradient_to_the_mask(rng):
+    with Tape() as tape:
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
+                   for _ in range(3))
+        mask = Tensor(np.zeros((2, 1, 3)), requires_grad=True)
+        loss = T.reduce_sum(T.attention(q, k, v, mask, 0.5))
+    assert [r.op for r in tape.records] == ["attention", "reduce_sum"]
+    grads = backward(tape, loss)
+    np.testing.assert_array_equal(grads[mask.node_id_on(tape)], np.zeros((2, 1, 3)))
+
+
+def test_attention_rejects_mismatched_shapes(rng):
+    q = Tensor(rng.normal(size=(2, 3, 2)))
+    with pytest.raises(ShapeError, match="attention"):
+        T.attention(q, Tensor(rng.normal(size=(2, 3, 4))), q, np.zeros((2, 1, 3)), 1.0)
+    with pytest.raises(ShapeError, match="attention"):
+        T.attention(q, q, Tensor(rng.normal(size=(2, 4, 2))), np.zeros((2, 1, 3)), 1.0)
+
+
+def test_attention_overflow_names_the_primitive(rng):
+    k = Tensor(1e10 * rng.normal(size=(1, 2, 2)))
+    v = Tensor(rng.normal(size=(1, 2, 2)))
+    mask = np.zeros((1, 1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match="'attention'"):
+            T.attention(Tensor(np.full((1, 2, 2), 1e300)), k, v, mask, 1.0)
+        # One -inf score would vanish in the softmax and leave the output
+        # finite; the composed matmul raised on it, and so does the screen.
+        big = Tensor(np.full((1, 2, 2), 1e160))
+        keys = Tensor(np.array([[[-1e160, -1e160], [1e-3, 0.0]]]))
+        with pytest.raises(NonFiniteError, match="'attention'"):
+            T.attention(big, keys, v, mask, 1.0)
