@@ -24,6 +24,7 @@ rename, so a crash never leaves a half-written checkpoint behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -165,6 +166,9 @@ class _Reader:
         self.path = path
 
     def take(self, n: int) -> bytes:
+        if n < 0:
+            raise CheckpointFormatError(
+                f"{self.path}: negative length {n} at offset {self.pos}")
         if self.pos + n > len(self.data):
             raise CheckpointFormatError(
                 f"{self.path}: truncated (needed {n} bytes at offset {self.pos})"
@@ -214,6 +218,9 @@ def _read_store(r: _Reader) -> EmbeddingStore:
         if not np.isfinite(block["v"]).all():
             raise CheckpointFormatError(
                 f"{r.path}: non-finite embedding in the context store for {cid!r}")
+        if np.any(np.diff(block["t"]) < 0):
+            raise CheckpointFormatError(
+                f"{r.path}: context store timestamps out of order for {cid!r}")
         store.add_series(cid, block["t"].astype(np.int64),
                          block["v"].astype(np.float64))
     return store
@@ -226,7 +233,8 @@ def _read_tensor(r: _Reader, name: str) -> np.ndarray:
     dims = [r.i64() for _ in range(rank)]
     if any(d < 0 for d in dims):
         raise CheckpointFormatError(f"{r.path}: negative tensor dimension {dims}")
-    n = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    # Python ints: a product of int64 dimensions wraps.
+    n = math.prod(dims)
     flat = np.frombuffer(r.take(8 * n), dtype="<f8")
     if not np.isfinite(flat).all():
         raise CheckpointFormatError(f"{r.path}: tensor {name!r} has non-finite values")
@@ -236,7 +244,8 @@ def _read_tensor(r: _Reader, name: str) -> np.ndarray:
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     path = os.fspath(path)
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
     r = _Reader(data, path)

@@ -10,8 +10,9 @@ candidates left out. Aggregation weights always sum to one, so a context of
 identical vectors reduces to that vector under every method. A row with no
 valid candidate gets a zero vector, and the augmented representation is the
 concatenation of the client's own embedding with the context vector. The
-augmenters walk their rows in chunks whose candidates fit a fixed byte
-budget, so memory stays bounded however many rows are augmented.
+augmenters walk their rows in chunks of a bounded row count whose
+candidates fit a fixed byte budget, so memory stays bounded however many
+rows are augmented.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data.types import ClientSequence
-from .encoders import embed_pooled
+from .encoders import embed_pooled, span_columns
 from .evaluation.windows import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
@@ -32,11 +33,12 @@ from .evaluation.windows import (
 from .nn import (Adam, Tape, Tensor, add, backward, concat, matmul, multiply, reshape,
                  softmax_op, transpose)
 from .objectives.losses import contrastive_loss, normalize_rows
-from .objectives.sampling import coles_sample_subsequences, pad_batch
+from .objectives.sampling import coles_sample_subsequences
 
 __all__ = [
     "AGGREGATION_METHODS",
     "CHUNK_BYTES",
+    "CHUNK_ROWS",
     "DEFAULT_STORE_SIZE",
     "ContextVector",
     "EmbeddingStore",
@@ -53,8 +55,12 @@ __all__ = [
 AGGREGATION_METHODS = ("mean", "max", "attention", "learnable")
 DEFAULT_STORE_SIZE = 500
 # Byte budget of one chunk's candidates, chunk x store clients x d float64:
-# it bounds the augmenters' memory whatever the number of rows.
+# it bounds the augmenters' memory whatever the number of rows. A chunk also
+# holds at most CHUNK_ROWS rows, which already amortise the per-client
+# lookup: a small store's chunks then stay small enough to be reused from
+# the heap, instead of being mapped afresh, and faulted in, on every call.
 CHUNK_BYTES = 4 << 20
+CHUNK_ROWS = 256
 
 
 @dataclass
@@ -183,8 +189,9 @@ def build_store(model, clients: Sequence[ClientSequence],
 
 
 def chunk_rows(n_clients: int, dim: int, chunk_bytes: int) -> int:
-    """Rows per chunk so that chunk x n_clients x dim float64 fit the budget."""
-    return max(1, chunk_bytes // max(1, 8 * n_clients * dim))
+    """Rows per chunk: at most CHUNK_ROWS, and few enough that chunk x
+    n_clients x dim float64 fit the budget."""
+    return max(1, min(CHUNK_ROWS, chunk_bytes // max(1, 8 * n_clients * dim)))
 
 
 def aggregate_many(x: np.ndarray, valid: np.ndarray, h: np.ndarray,
@@ -344,11 +351,12 @@ def train_attention_matrix(model, store: EmbeddingStore,
             if len({s.client_index for s in samples}) < 2:
                 continue
             seqs = [subset[s.client_index] for s in samples]
-            if any(seq.mcc_idx is None for seq in seqs):
-                raise ValueError("vocabulary not applied to every client")
-            own = embed_pooled(model.encoder, *pad_batch([
-                (seq.mcc_idx[s.start : s.end], seq.amounts_t[s.start : s.end])
-                for seq, s in zip(seqs, samples)]), model.pool_strategy)
+            # Each slice is a span of its client's columns.
+            mcc, amt, offsets = span_columns(subset)
+            own = embed_pooled(
+                model.encoder, mcc, amt,
+                np.array([offsets[s.client_index] + s.start for s in samples]),
+                np.array([s.end - s.start for s in samples]), model.pool_strategy)
             ids = np.array([seq.client_id for seq in seqs], dtype=str)
             x, valid = store.query_many(
                 np.array([seq.timestamps[s.end - 1] for seq, s in zip(seqs, samples)]),

@@ -8,12 +8,14 @@ lengths=None) -> (hidden, cls)`, with cls None for the GRU. Forward passes
 run batched on padded arrays, and record on the active tape only when
 gradients are required, so the same code serves training and inference.
 
-Pooled inference goes through `embed_pooled`, and each encoder blocks a
-batch its own way so that memory depends on block sizes, never on how many
-rows or how long the histories are. The GRU sorts rows by length and scans
-row blocks a few steps at a time, time-major, carrying the state from one
-time block to the next and pooling as it goes; the transformer sorts rows by
-length and runs chunks whose attention scores fit a byte budget.
+Pooled inference goes through `embed_pooled`, which takes spans (start,
+length) of flat code and amount columns, and each encoder gathers and
+blocks its rows its own way so that memory depends on block sizes, never on
+how many rows or how long the histories are. The GRU sorts rows by length
+and scans row blocks a few steps at a time, time-major, gathering each time
+block's steps, carrying the state from one time block to the next and
+pooling as it goes; the transformer sorts rows by length and pads chunks
+whose attention scores fit a byte budget.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "pool_batch",
     "pool_padded",
     "embed_pooled",
+    "span_columns",
     "zero_pinned_rows",
     "POOL_STRATEGIES",
 ]
@@ -267,39 +270,46 @@ class GruEncoder:
         return self.core.scan(x), None
 
     def embed_pooled(self, mcc_idx: np.ndarray, amounts_t: np.ndarray,
-                     lengths: np.ndarray, strategy: str) -> np.ndarray:
-        """Pooled (B, d) rows of a padded batch, scanned in row and time blocks.
+                     starts: np.ndarray, lengths: np.ndarray,
+                     strategy: str) -> np.ndarray:
+        """Pooled (B, d) rows of spans, scanned in row and time blocks.
 
         Rows are sorted by length and cut into near-equal blocks of at most
         ROW_BLOCK rows. A block is scanned time-major in time blocks that
-        each embed and project only their own steps, for the rows still
-        running, from the state the previous time block left. Pooling runs
-        along, so no (B, L, d) state tensor is ever built. Rows equal
-        `pool_padded(forward(...))` of the whole batch bit for bit (mean
-        pooling for a hidden width of at least 2) wherever BLAS gives a
-        product row the same bits at any row count of two or more: every
-        product keeps the BLAS path it takes there, since a time block spans
-        at least two steps and a block with one running row scans a finished
-        one along. Elsewhere (on AVX-512 OpenBLAS, inputs of 16 or more
-        columns into a width that is 1-3 past a multiple of 8) they agree to
-        rounding.
+        each gather, embed and project only their own steps, for the rows
+        still running, from the state the previous time block left. Pooling
+        runs along, so no (B, L) input or (B, L, d) state tensor is ever
+        built. Rows equal `pool_padded(forward(...))` of the padded batch
+        (width max(lengths)) bit for bit (mean pooling for a hidden width of
+        at least 2) wherever BLAS gives a product row the same bits at any
+        row count of two or more: every product keeps the BLAS path it takes
+        there, since a time block spans at least two steps and a block with
+        one running row scans a finished one along. Elsewhere they agree to
+        rounding. On the AVX-512 OpenBLAS 0.3.31 this was measured on, rows
+        round differently for inputs of 16 or more columns into a width 1-3
+        past a multiple of 8, for `(n, 128) @ (128, 100)` at 1-100 rows
+        against 2,048, and for `h @ a.T` with a (32, 32) `a` at 1-37 rows;
+        the program's (13, 32), (32, 32), (32, 128), (128, 32) and (64, 128)
+        products do not differ.
         """
         b = len(lengths)
         out = np.empty((b, self.hidden))
         order = np.argsort(-lengths, kind="stable")
+        width = int(lengths[order[0]])
         # Near-equal blocks of at least two rows, unless the batch is one row.
         n_blocks = max(1, min(-(-b // ROW_BLOCK), b // 2))
         for rows in np.array_split(order, n_blocks):
             # first_token pools each row's first state and needs nothing after it.
             span = 1 if strategy == "first_token" else int(lengths[rows[0]])
-            out[rows] = self._pool_row_block(mcc_idx, amounts_t, rows, lengths[rows],
-                                             span, strategy)
+            out[rows] = self._pool_row_block(mcc_idx, amounts_t, starts[rows],
+                                             lengths[rows], width, span, strategy)
         return out
 
-    def _pool_row_block(self, mcc_idx, amounts_t, rows, lengths, span, strategy):
-        """Pooled rows of one block over its first `span` steps, `rows` sorted
-        by descending length."""
-        nb, width = len(rows), mcc_idx.shape[1]
+    def _pool_row_block(self, mcc_idx, amounts_t, starts, lengths, width, span,
+                        strategy):
+        """Pooled rows of one block over its first `span` steps, rows sorted
+        by descending length in a batch whose longest row is `width`."""
+        nb = len(lengths)
         h = np.zeros((nb, self.hidden))
         acc = np.full((nb, self.hidden), -np.inf if strategy == "max" else 0.0)
         t0 = 0
@@ -310,10 +320,10 @@ class GruEncoder:
                 t1 = span
             # A one-step block would project through a matrix-vector product.
             t1 = max(t1, min(t0 + 2, width))
-            active = rows[:n]
-            # Embedded and scanned time-major: states are (steps, rows, d).
-            x = embed_batch(self.emb_table, mcc_idx[active, t0:t1].T,
-                            amounts_t[active, t0:t1].T)
+            # Gathered, embedded and scanned time-major: states are (steps, rows, d).
+            steps = np.arange(t0, t1)[:, None]
+            x = embed_batch(self.emb_table, *_read_spans(
+                mcc_idx, amounts_t, starts[None, :n], lengths[None, :n], steps))
             states = self.core.scan(x, Tensor(h[:n]), time_major=True).data
             h[:n] = states[-1]
             if strategy == "first_token":
@@ -322,7 +332,7 @@ class GruEncoder:
                 ends = np.flatnonzero((lengths[:n] > t0) & (lengths[:n] <= t1))
                 acc[ends] = states[lengths[ends] - 1 - t0, ends]
             else:
-                valid = (t0 + np.arange(t1 - t0))[:, None] < lengths[None, :n]
+                valid = steps < lengths[None, :n]
                 if strategy == "mean":
                     # In time order, as pool_padded's masked sum adds them.
                     acc[:n] = np.concatenate(
@@ -334,6 +344,19 @@ class GruEncoder:
         if strategy == "mean":
             return acc / lengths[:, None].astype(np.float64)
         return acc
+
+
+def _read_spans(mcc_idx: np.ndarray, amounts_t: np.ndarray, starts: np.ndarray,
+                lengths: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and amounts `steps` past each span's start, in the broadcast
+    shape of starts + steps. A step past a span's end reads the padding
+    values (index 0, amount 0), as in a padded batch."""
+    past = steps >= lengths
+    idx = np.where(past, 0, starts + steps)
+    mcc, amt = mcc_idx[idx], amounts_t[idx]
+    mcc[past] = 0
+    amt[past] = 0.0
+    return mcc, amt
 
 
 def _sinusoidal_positions(length: int, d: int) -> np.ndarray:
@@ -449,13 +472,18 @@ class TransformerEncoder:
         return hidden, cls_out
 
     def embed_pooled(self, mcc_idx: np.ndarray, amounts_t: np.ndarray,
-                     lengths: np.ndarray, strategy: str) -> np.ndarray:
-        """Pooled (B, d) rows of a padded batch, in chunks of length-sorted rows.
+                     starts: np.ndarray, lengths: np.ndarray,
+                     strategy: str) -> np.ndarray:
+        """Pooled (B, d) rows of spans, in chunks of length-sorted rows.
 
-        Each chunk is cut to its longest row and holds as many rows as keep
-        its attention scores within ATTENTION_BYTES. A row equals the forward
-        pass of its own chunk bit for bit; against another padded width it
-        agrees to rounding, since the softmax sums run over the padded width.
+        Each chunk is padded from the spans to its longest row and holds as
+        many rows as keep its attention scores within ATTENTION_BYTES; the
+        `attention` primitive then works through them in cache-sized pieces,
+        and through one long row's scores in blocks of query rows. A row
+        equals the forward pass of its own chunk bit for bit, except that
+        blocks of query rows agree with it to rounding; against another
+        padded width it agrees to rounding, since the softmax sums run over
+        the padded width.
         """
         b = len(lengths)
         out = np.empty((b, self.hidden))
@@ -465,8 +493,9 @@ class TransformerEncoder:
             width = int(lengths[order[lo]])
             per_row = 8 * self.config.heads * (width + 1) ** 2
             idx = order[lo : lo + max(1, ATTENTION_BYTES // per_row)]
-            hidden, cls_out = self.forward(mcc_idx[idx, :width], amounts_t[idx, :width],
-                                           lengths[idx])
+            mcc, amt = _read_spans(mcc_idx, amounts_t, starts[idx, None],
+                                   lengths[idx, None], np.arange(width)[None, :])
+            hidden, cls_out = self.forward(mcc, amt, lengths[idx])
             out[idx] = pool_padded(hidden.data, lengths[idx], strategy, cls_out.data)
             lo += len(idx)
         return out
@@ -549,24 +578,43 @@ def pool_padded(hidden: np.ndarray, lengths: np.ndarray, strategy: str,
     raise ValueError(f"unknown pooling strategy {strategy!r}")
 
 
-def embed_pooled(encoder, mcc_idx: np.ndarray, amounts_t: np.ndarray,
-                 lengths: np.ndarray, strategy: str) -> np.ndarray:
-    """Pooled (B, d) embeddings of a padded batch (inference, no tape).
+def span_columns(sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sequences' code and amount columns end to end, and the offset at
+    which each sequence starts: flat columns for `embed_pooled`'s spans."""
+    for seq in sequences:
+        if seq.mcc_idx is None:
+            raise ValueError(f"client {seq.client_id}: vocabulary not applied")
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    return (np.concatenate([np.zeros(0, np.int64)] + [seq.mcc_idx for seq in sequences]),
+            np.concatenate([np.zeros(0)] + [seq.amounts_t for seq in sequences]),
+            np.cumsum(lengths) - lengths)
 
-    Pass every row in one call: the encoder blocks the batch itself, so
-    memory is bounded by its block sizes, not by the batch.
+
+def embed_pooled(encoder, mcc_idx: np.ndarray, amounts_t: np.ndarray,
+                 starts: np.ndarray, lengths: np.ndarray, strategy: str) -> np.ndarray:
+    """Pooled (B, d) embeddings of spans of flat columns (inference, no tape).
+
+    Row i embeds mcc_idx and amounts_t at starts[i], ..., starts[i] +
+    lengths[i] - 1. Spans may overlap, as sliding windows do; a padded
+    (B, L) batch is the case starts = i * L of its flattened arrays. Pass
+    every row in one call: the encoder gathers each block's inputs from the
+    columns itself, so memory is bounded by its block sizes, not by the
+    number of rows or their lengths.
     """
     if strategy not in POOL_STRATEGIES:
         raise ValueError(f"unknown pooling strategy {strategy!r}")
     mcc_idx = np.asarray(mcc_idx, dtype=np.int64)
     amounts_t = np.asarray(amounts_t, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    if (mcc_idx.ndim != 2 or amounts_t.shape != mcc_idx.shape
-            or lengths.shape != mcc_idx.shape[:1]):
-        raise ValueError(f"padded batch shapes disagree: mcc {mcc_idx.shape}, "
-                         f"amounts {amounts_t.shape}, lengths {lengths.shape}")
-    if np.any(lengths < 1) or np.any(lengths > mcc_idx.shape[1]):
-        raise ValueError("lengths out of range for pooling")
+    if (mcc_idx.ndim != 1 or amounts_t.shape != mcc_idx.shape
+            or lengths.ndim != 1 or starts.shape != lengths.shape):
+        raise ValueError(f"span shapes disagree: mcc {mcc_idx.shape}, "
+                         f"amounts {amounts_t.shape}, starts {starts.shape}, "
+                         f"lengths {lengths.shape}")
+    if (np.any(lengths < 1) or np.any(starts < 0)
+            or np.any(starts + lengths > len(mcc_idx))):
+        raise ValueError("spans out of range of the columns")
     if len(lengths) == 0:
         return np.zeros((0, encoder.hidden))
-    return encoder.embed_pooled(mcc_idx, amounts_t, lengths, strategy)
+    return encoder.embed_pooled(mcc_idx, amounts_t, starts, lengths, strategy)

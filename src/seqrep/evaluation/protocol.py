@@ -29,8 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..data.types import ClientSequence
-from ..encoders import embed_pooled
-from ..objectives.sampling import pad_batch
+from ..encoders import embed_pooled, span_columns
 from .heads import MlpProbe, ProbeConfig
 from .metrics import classification_metrics
 from .windows import (
@@ -70,18 +69,16 @@ class FrozenModel:
 def global_embeddings(model, clients: Sequence[ClientSequence]) -> np.ndarray:
     """One pooled vector per client, in the given client order.
 
-    Every history goes to the encoder in one padded batch, which the
-    encoder blocks itself, so its working memory depends on its block
-    sizes, not on how many clients or how long their histories are.
+    Every history goes to the encoder as a span of the clients' columns,
+    laid end to end, in one call; the encoder gathers and blocks the rows
+    itself, so its working memory depends on its block sizes, not on how
+    many clients or how long their histories are.
     """
     if not clients:
         raise ValueError("no clients to embed")
-    for seq in clients:
-        if seq.mcc_idx is None:
-            raise ValueError(f"client {seq.client_id}: vocabulary not applied")
-    return embed_pooled(model.encoder,
-                        *pad_batch([(seq.mcc_idx, seq.amounts_t) for seq in clients]),
-                        model.pool_strategy)
+    mcc, amt, starts = span_columns(clients)
+    return embed_pooled(model.encoder, mcc, amt, starts,
+                        np.array([len(seq) for seq in clients]), model.pool_strategy)
 
 
 def eval_from_matrices(fit_x: np.ndarray, fit_y: np.ndarray,

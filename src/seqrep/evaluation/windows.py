@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.types import ClientSequence
-from ..encoders import embed_pooled
+from ..encoders import embed_pooled, span_columns
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -69,27 +69,18 @@ def sliding_window_embed_many(
 ) -> list[WindowEmbeddings]:
     """Window embeddings for many clients in one encoder call.
 
-    All windows share one length, so windows from different clients stack
-    into one rectangular batch, which the encoder blocks itself. Clients
-    shorter than `window` come back with zero rows.
+    Every window is a span of the clients' own columns, laid end to end, so
+    no window's content is copied out; the encoder gathers and blocks the
+    rows itself. Clients shorter than `window` come back with zero rows.
     """
-    all_ends: list[np.ndarray] = []
-    all_mcc = []
-    all_amt = []
-    for seq in sequences:
-        if seq.mcc_idx is None:
-            raise ValueError(f"client {seq.client_id}: vocabulary not applied")
-        ends = window_ends(len(seq), window, stride)
-        all_ends.append(ends)
-        # Row i holds positions ends[i] - window ... ends[i] - 1.
-        idx = ends[:, None] - window + np.arange(window)
-        all_mcc.append(seq.mcc_idx[idx])
-        all_amt.append(seq.amounts_t[idx])
-
-    n_rows = sum(len(ends) for ends in all_ends)
-    if n_rows:
-        pooled = embed_pooled(encoder, np.concatenate(all_mcc), np.concatenate(all_amt),
-                              np.full(n_rows, window, dtype=np.int64), pool)
+    mcc, amt, offsets = span_columns(sequences)
+    all_ends = [window_ends(len(seq), window, stride) for seq in sequences]
+    # Row i covers positions ends[i] - window ... ends[i] - 1 of its client.
+    starts = np.concatenate([np.zeros(0, np.int64)] + [
+        offset + ends - window for offset, ends in zip(offsets, all_ends)])
+    if len(starts):
+        pooled = embed_pooled(encoder, mcc, amt, starts,
+                              np.full(len(starts), window, dtype=np.int64), pool)
     else:
         pooled = np.zeros((0, encoder.hidden))
 

@@ -421,12 +421,15 @@ def _vjp_sigmoid(g, saved, params, shapes):
 
 
 def _fw_relu(params, x):
-    return np.maximum(x, 0.0), (x,)
+    # The output, not the input: y > 0 exactly where x > 0, and the product
+    # that follows a relu saves y already.
+    y = np.maximum(x, 0.0)
+    return y, (y,)
 
 
 def _vjp_relu(g, saved, params, shapes):
-    (x,) = saved
-    return (g * (x > 0.0),)
+    (y,) = saved
+    return (g * (y > 0.0),)
 
 
 def _fw_sqrt(params, x):
@@ -595,42 +598,89 @@ def _vjp_layer_norm(g, saved, params, shapes):
 
 # ---------------------------------------------------------- masked attention
 #
-# softmax(q @ k^T * c + mask) @ v as one record, keeping only q, k^T, v and
-# the weights. Forward and adjoint repeat, op for op, what the composition
-# transpose, matmul, scalar_multiply, add, softmax, matmul computes, so both
-# match it bit for bit; the scores live in one buffer, updated in place.
+# softmax(q @ k^T * c + mask) @ v as one record that keeps q, k^T, v and the
+# mask, not the weights. Forward and adjoint work through the (n, s_q, s_k)
+# weights a chunk at a time: as many whole matrices as fit
+# ATTENTION_CHUNK_BYTES, or, for one matrix over it, blocks of query rows.
+# The adjoint recomputes each chunk's weights with the forward's ops. Both
+# repeat, op for op, what the composition transpose, matmul,
+# scalar_multiply, add, softmax, matmul computes; numpy's stacked matmul
+# makes one product per matrix, so chunks of whole matrices match it bit for
+# bit. Blocks of query rows agree with it to rounding, since BLAS may round a
+# product row by the number of rows. Training at the default `train.max_len`
+# of 100 never makes them; they keep one long history's weights within the
+# budget at inference.
+
+ATTENTION_CHUNK_BYTES = 1 << 20
+
+
+def _attention_chunks(n: int, s_q: int, s_k: int) -> list[tuple[slice, slice]]:
+    """(matrices, query rows) slices whose weights fit ATTENTION_CHUNK_BYTES."""
+    per_matrix = max(8 * s_q * s_k, 1)
+    if per_matrix <= ATTENTION_CHUNK_BYTES:
+        step = ATTENTION_CHUNK_BYTES // per_matrix
+        return [(slice(lo, lo + step), slice(None)) for lo in range(0, n, step)]
+    rows = max(1, ATTENTION_CHUNK_BYTES // (8 * s_k))
+    return [(slice(i, i + 1), slice(lo, lo + rows))
+            for i in range(n) for lo in range(0, s_q, rows)]
+
+
+def _attention_weights(q, k_t, mask, c, screen_shape=None):
+    """softmax(q @ k_t * c + mask) over one chunk, in one buffer updated in
+    place. With `screen_shape`, non-finite scores raise first: a -inf score
+    would vanish in the softmax and leave the output finite."""
+    w = np.matmul(q, k_t)
+    w *= c
+    w += mask
+    if screen_shape is not None and not np.isfinite(w.sum()):
+        raise NonFiniteError(
+            f"primitive 'attention' produced non-finite scores of shape {screen_shape}")
+    w -= np.max(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.sum(w, axis=-1, keepdims=True)
+    return w
+
 
 def _fw_attention(params, q, k, v, mask):
     if (q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape[0] != q.shape[0]
             or k.shape[2] != q.shape[2] or v.shape[:2] != k.shape[:2]):
         raise ShapeError(
             f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    n, s_q, s_k = q.shape[0], q.shape[1], k.shape[1]
     k_t = np.transpose(k, (0, 2, 1)).copy()
-    w = np.matmul(q, k_t)
-    w *= params["c"]
-    w += mask
-    # Screen the scores too: a -inf score would vanish in the softmax and
-    # leave the output finite.
-    if not np.isfinite(w.sum()):
-        raise NonFiniteError(
-            f"primitive 'attention' produced non-finite scores of shape {w.shape}")
-    w -= np.max(w, axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= np.sum(w, axis=-1, keepdims=True)
-    return np.matmul(w, v), (q, k_t, v, w)
+    scores_mask = np.broadcast_to(mask, (n, s_q, s_k))
+    out = np.empty((n, s_q, v.shape[2]))
+    for mats, rows in _attention_chunks(n, s_q, s_k):
+        w = _attention_weights(q[mats, rows], k_t[mats], scores_mask[mats, rows],
+                               params["c"], screen_shape=(n, s_q, s_k))
+        out[mats, rows] = np.matmul(w, v[mats])
+    return out, (q, k_t, v, mask)
 
 
 def _vjp_attention(g, saved, params, shapes):
-    q, k_t, v, w = saved
-    gw = np.matmul(g, np.swapaxes(v, -1, -2))
-    gv = np.matmul(np.swapaxes(w, -1, -2), g)
-    # Softmax adjoint w * (gw - dot), then the scale, in the same order.
-    dot = np.sum(gw * w, axis=-1, keepdims=True)
-    gw -= dot
-    gw *= w
-    gw *= params["c"]
-    gq = np.matmul(gw, np.swapaxes(k_t, -1, -2))
-    gk_t = np.matmul(np.swapaxes(q, -1, -2), gw)
+    q, k_t, v, mask = saved
+    n, s_q, s_k = q.shape[0], q.shape[1], k_t.shape[2]
+    c = params["c"]
+    scores_mask = np.broadcast_to(mask, (n, s_q, s_k))
+    gq, gk_t, gv = np.empty_like(q), np.empty_like(k_t), np.empty_like(v)
+    for mats, rows in _attention_chunks(n, s_q, s_k):
+        w = _attention_weights(q[mats, rows], k_t[mats], scores_mask[mats, rows], c)
+        g_rows = g[mats, rows]
+        gw = np.matmul(g_rows, np.swapaxes(v[mats], -1, -2))
+        gv_part = np.matmul(np.swapaxes(w, -1, -2), g_rows)
+        # Softmax adjoint w * (gw - dot), then the scale, in the same order.
+        dot = np.sum(gw * w, axis=-1, keepdims=True)
+        gw -= dot
+        gw *= w
+        gw *= c
+        gq[mats, rows] = np.matmul(gw, np.swapaxes(k_t[mats], -1, -2))
+        gk_t_part = np.matmul(np.swapaxes(q[mats, rows], -1, -2), gw)
+        # Blocks of query rows sum their key and value gradients.
+        if not rows.start:
+            gv[mats], gk_t[mats] = gv_part, gk_t_part
+        else:
+            gv[mats] += gv_part
+            gk_t[mats] += gk_t_part
     return gq, np.transpose(gk_t, (0, 2, 1)).copy(), gv, None
 
 

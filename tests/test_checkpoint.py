@@ -7,6 +7,7 @@ import pytest
 from seqrep.checkpoint import (
     MAGIC,
     VERSION,
+    _Reader,
     Checkpoint,
     CheckpointError,
     CheckpointFormatError,
@@ -169,6 +170,39 @@ def test_duplicate_sections_rejected(tmp_path):
     tensor = packed("w", struct.pack("<qq", 1, 1) + struct.pack("<d", 0.0))
     path.write_bytes(head + tensor + tensor)
     with pytest.raises(CheckpointFormatError, match="duplicate tensor"):
+        load_checkpoint(path)
+
+
+def crafted(path, *sections):
+    """A checkpoint file of the given raw sections after a valid header."""
+    digest = DIGEST.encode()
+    head = MAGIC + struct.pack("<I", VERSION) + struct.pack("<I", len(digest)) + digest
+    path.write_bytes(head + b"".join(
+        struct.pack("<I", len(name)) + name.encode() + body for name, body in sections))
+    return path
+
+
+def test_wrapping_tensor_size_is_format_error(tmp_path):
+    # 8 * 4395513236313604108 wraps to -1.7e18 as an int64 product.
+    body = struct.pack("<qqq", 2, 8, 4395513236313604108) + struct.pack("<d", 0.0)
+    path = crafted(tmp_path / "wrap.ckpt", ("w", body))
+    with pytest.raises(CheckpointFormatError, match=f"{path}: truncated"):
+        load_checkpoint(path)
+
+
+def test_reader_rejects_a_negative_count():
+    reader = _Reader(b"abcdef", "r.ckpt")
+    reader.take(4)
+    with pytest.raises(CheckpointFormatError, match="r.ckpt: negative length -2"):
+        reader.take(-2)
+    assert reader.pos == 4
+
+
+def test_unsorted_store_timestamps_are_format_error(tmp_path):
+    rows = struct.pack("<qd", 9, 1.0) + struct.pack("<qd", 3, 2.0)
+    body = struct.pack("<qq", 1, 1) + struct.pack("<I", 2) + b"c7" + struct.pack("<q", 2)
+    path = crafted(tmp_path / "order.ckpt", ("CTXSTORE", body + rows))
+    with pytest.raises(CheckpointFormatError, match=f"{path}: .*out of order for 'c7'"):
         load_checkpoint(path)
 
 

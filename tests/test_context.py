@@ -22,7 +22,7 @@ from seqrep.evaluation.windows import WindowEmbeddings, sliding_window_embed_man
 from seqrep.nn import (Adam, Tape, Tensor, backward, concat, grad_check, matmul,
                        reshape, softmax_op)
 from seqrep.objectives.losses import contrastive_loss, normalize_rows
-from seqrep.objectives.sampling import coles_sample_subsequences, pad_batch
+from seqrep.objectives.sampling import coles_sample_subsequences
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +313,7 @@ def test_chunk_size_respects_the_byte_budget():
         for dim in (1, 3, 32):
             for budget in (1, 8, 1000, 4 << 20):
                 rows = chunk_rows(n_clients, dim, budget)
-                assert rows >= 1
+                assert 1 <= rows <= context.CHUNK_ROWS
                 assert rows == 1 or rows * n_clients * dim * 8 <= budget
 
 
@@ -386,9 +386,9 @@ def loop_fit(model, store, clients, epochs, lr, seed, n_slices, length_range,
             own, ctxs, ids = [], [], []
             for s in samples:
                 seq = subset[s.client_index]
-                part = [(seq.mcc_idx[s.start : s.end], seq.amounts_t[s.start : s.end])]
-                own.append(embed_pooled(model.encoder, *pad_batch(part),
-                                        model.pool_strategy)[0])
+                own.append(embed_pooled(model.encoder, seq.mcc_idx[s.start : s.end],
+                                        seq.amounts_t[s.start : s.end], [0],
+                                        [s.end - s.start], model.pool_strategy)[0])
                 ctxs.append(brute_rows(store, seq.client_id, seq.timestamps[s.end - 1]))
                 ids.append(seq.client_id)
             with Tape() as tape:

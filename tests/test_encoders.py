@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import seqrep.encoders as encoders
+import seqrep.nn.tensor as tensor_module
 from seqrep.config import make_encoder_config
 from seqrep.data import ClientSequence
 from seqrep.encoders import (
@@ -44,6 +45,7 @@ from seqrep.nn import (
     tanh,
 )
 from seqrep.objectives import TrainConfig, build_model, named_grads
+from seqrep.objectives.sampling import pad_batch
 
 
 def batch_inputs(rng, b=3, length=12, n_indices=9):
@@ -269,8 +271,8 @@ def test_inference_paths_match_single_sequence_reference(arch, strategy, gru, tx
             close(row, reference(piece(seq, end - window, end)))
 
     seq, lo, hi = clients[2], 7, 26
-    got = embed_pooled(encoder, seq.mcc_idx[None, lo:hi], seq.amounts_t[None, lo:hi],
-                       [hi - lo], strategy)
+    # A span inside one client's own columns.
+    got = embed_pooled(encoder, seq.mcc_idx, seq.amounts_t, [lo], [hi - lo], strategy)
     assert got.shape == (1, encoder.hidden)
     close(got[0], reference(piece(seq, lo, hi)))
 
@@ -283,6 +285,35 @@ def padded(rng, lengths, n_indices=9):
         mcc[i, n:] = 0
         amt[i, n:] = 0.0
     return mcc, amt, lengths
+
+
+def embed_padded(encoder, mcc, amt, lengths, strategy):
+    """embed_pooled of a padded (B, L) batch: spans starting at i * L of the
+    flattened arrays."""
+    b, width = mcc.shape
+    return embed_pooled(encoder, mcc.ravel(), amt.ravel(), np.arange(b) * width,
+                        lengths, strategy)
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("strategy", POOL_STRATEGIES)
+@pytest.mark.parametrize("arch", ["gru", "transformer"])
+def test_spans_equal_their_padded_batch(arch, strategy, small, gru, txf, rng,
+                                        monkeypatch):
+    """Overlapping spans anywhere in one pair of columns, the last one ending
+    at the columns' end, give the rows of the padded batch of their contents
+    bit for bit, at the default block sizes and at small ones."""
+    encoder = gru if arch == "gru" else txf
+    if small:
+        small_blocks(monkeypatch)
+    mcc, amt = rng.integers(1, 9, size=120), rng.normal(size=120)
+    lengths = np.array([40, 33, 20, 13, 9, 3, 1, 7, 7, 2, 25, 40])
+    starts = rng.integers(0, 120 - lengths + 1)
+    starts[-1] = 120 - lengths[-1]
+    pm, pa, _ = pad_batch([(mcc[lo : lo + n], amt[lo : lo + n])
+                           for lo, n in zip(starts, lengths)])
+    want = embed_padded(encoder, pm, pa, lengths, strategy)
+    assert np.array_equal(embed_pooled(encoder, mcc, amt, starts, lengths, strategy), want)
 
 
 # Mixed, equal, length-1 and time-block-boundary lengths (a block of 4 or 6
@@ -310,7 +341,7 @@ def test_blocked_pooling_equals_the_padded_forward(arch, case, strategy, gru, tx
     hidden, cls_out = encoder.forward(mcc, amt, lengths)
     want = pool_padded(hidden.data, lengths, strategy,
                        None if cls_out is None else cls_out.data)
-    got = embed_pooled(encoder, mcc, amt, lengths, strategy)
+    got = embed_padded(encoder, mcc, amt, lengths, strategy)
     assert np.array_equal(got, want)
 
 
@@ -322,10 +353,10 @@ def test_blocked_pooling_equals_the_padded_forward(arch, case, strategy, gru, tx
 def test_gru_rows_do_not_depend_on_block_sizes(lengths, blocks, strategy, gru, rng,
                                                monkeypatch):
     mcc, amt, lengths = padded(rng, lengths)
-    want = embed_pooled(gru, mcc, amt, lengths, strategy)
+    want = embed_padded(gru, mcc, amt, lengths, strategy)
     rows, steps, min_steps = blocks
     small_blocks(monkeypatch, rows, steps, min_steps)
-    assert np.array_equal(embed_pooled(gru, mcc, amt, lengths, strategy), want)
+    assert np.array_equal(embed_padded(gru, mcc, amt, lengths, strategy), want)
 
 
 def test_transformer_chunks_fit_their_budget(txf, rng, monkeypatch):
@@ -346,7 +377,7 @@ def test_transformer_chunks_fit_their_budget(txf, rng, monkeypatch):
 
     monkeypatch.setattr(TransformerEncoder, "forward", forward)
     for strategy in POOL_STRATEGIES:
-        got = embed_pooled(txf, mcc, amt, lengths, strategy)
+        got = embed_padded(txf, mcc, amt, lengths, strategy)
         np.testing.assert_allclose(
             got, pool_padded(hidden.data, lengths, strategy, cls_out.data),
             rtol=1e-12, atol=1e-14)
@@ -392,7 +423,7 @@ def test_gru_blocked_pooling_matches_the_padded_forward_at_any_width(seed):
     encoder, mcc, amt, lengths, strategy = sweep_case(seed)
     hidden, _ = encoder.forward(mcc, amt, lengths)
     want = pool_padded(hidden.data, lengths, strategy)
-    got = embed_pooled(encoder, mcc, amt, lengths, strategy)
+    got = embed_padded(encoder, mcc, amt, lengths, strategy)
     d_in, d = encoder.config.input_width, encoder.hidden
     if blas_rows_are_independent(d_in, d) and blas_rows_are_independent(d, d):
         assert np.array_equal(got, want)
@@ -417,7 +448,7 @@ def test_pooled_inference_rejects_an_inf_recurrent_weight(rng):
     encoder.gates["u_z"].data[0, 0] = np.inf
     mcc, amt, lengths = padded(rng, [9, 4, 6])
     with pytest.raises(NonFiniteError, match="'gru_scan' input u_z"):
-        embed_pooled(encoder, mcc, amt, lengths, "last")
+        embed_padded(encoder, mcc, amt, lengths, "last")
 
 
 def test_pooled_inference_rejects_an_inf_embedding_row_it_reads(rng):
@@ -426,10 +457,10 @@ def test_pooled_inference_rejects_an_inf_embedding_row_it_reads(rng):
     mcc, amt, lengths = padded(rng, [9, 4, 6])
     mcc[mcc == 3] = 4
     # A batch that never reads the row is unaffected.
-    assert np.all(np.isfinite(embed_pooled(encoder, mcc, amt, lengths, "mean")))
+    assert np.all(np.isfinite(embed_padded(encoder, mcc, amt, lengths, "mean")))
     mcc[1, 2] = 3
     with pytest.raises(NonFiniteError, match="'gather'"):
-        embed_pooled(encoder, mcc, amt, lengths, "mean")
+        embed_padded(encoder, mcc, amt, lengths, "mean")
 
 
 def test_pooled_inference_rejects_an_overflowing_projection(rng):
@@ -438,7 +469,7 @@ def test_pooled_inference_rejects_an_overflowing_projection(rng):
     mcc, amt, lengths = padded(rng, [9, 4, 6])
     amt[0, 0] = 10.0
     with pytest.raises(NonFiniteError, match="'gru_scan' input xh"):
-        embed_pooled(encoder, mcc, amt, lengths, "max")
+        embed_padded(encoder, mcc, amt, lengths, "max")
 
 
 def test_time_major_scan_is_inference_only(rng):
@@ -460,7 +491,7 @@ def test_gru_inference_memory_does_not_grow_with_history(rng):
         lengths = np.full(16, length)
         tracemalloc.start()
         try:
-            embed_pooled(encoder, mcc, amt, lengths, "mean")
+            embed_padded(encoder, mcc, amt, lengths, "mean")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -482,23 +513,56 @@ def test_transformer_whole_history_memory_is_bounded_by_its_budget(rng):
     finally:
         tracemalloc.stop()
     assert rows.shape == (40, 16)
-    # The fused attention scores, scales, masks and normalises one buffer in
-    # place: about one budget. One unchunked pass would hold 40 x 4 x 301^2
-    # floats in it.
+    # A chunk of rows keeps its scores within one budget, and the attention
+    # primitive holds only a cache-sized piece of them at a time. One
+    # unchunked pass would hold 40 x 4 x 301^2 floats.
     assert peak < 2 * encoders.ATTENTION_BYTES, peak / encoders.ATTENTION_BYTES
 
 
+def test_one_long_transformer_row_is_bounded_by_the_budget(monkeypatch):
+    """One 3,000-transaction history is a chunk of one row whose scores
+    alone would take 17.6 budgets; attention scores it in blocks of query
+    rows, which agree with the unblocked forward to rounding."""
+    encoder = TransformerEncoder(EncoderConfig(n_indices=9, d_emb=12, hidden=32,
+                                               heads=4, blocks=2),
+                                 seed=0)
+    rng = np.random.default_rng(3)
+    n = 3000
+    mcc, amt = rng.integers(1, 9, size=n), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        got = embed_pooled(encoder, mcc, amt, [0], [n], "mean")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * encoders.ATTENTION_BYTES, peak / encoders.ATTENTION_BYTES
+    got_cls = embed_pooled(encoder, mcc, amt, [0], [n], "first_token")
+    # Unblocked: a chunk of one whole (3001, 3001) weight matrix.
+    monkeypatch.setattr(tensor_module, "ATTENTION_CHUNK_BYTES", 8 * (n + 1) ** 2)
+    hidden, cls_out = encoder.forward(mcc[None], amt[None], np.array([n]))
+    np.testing.assert_allclose(got, pool_padded(hidden.data, np.array([n]), "mean"),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_cls, cls_out.data, rtol=0, atol=1e-12)
+
+
 def test_embed_pooled_validates_its_batch(gru, rng):
-    mcc, amt, lengths = padded(rng, [5, 3])
+    mcc, amt = rng.integers(1, 9, size=10), rng.normal(size=10)
+    starts, lengths = np.array([0, 6]), np.array([5, 3])
     with pytest.raises(ValueError, match="pooling strategy"):
-        embed_pooled(gru, mcc, amt, lengths, "middle")
-    with pytest.raises(ValueError, match="lengths out of range"):
-        embed_pooled(gru, mcc, amt, [6, 3], "last")
-    with pytest.raises(ValueError, match="lengths out of range"):
-        embed_pooled(gru, mcc, amt, [0, 3], "last")
+        embed_pooled(gru, mcc, amt, starts, lengths, "middle")
+    with pytest.raises(ValueError, match="spans out of range"):
+        embed_pooled(gru, mcc, amt, starts, [5, 5], "last")
+    with pytest.raises(ValueError, match="spans out of range"):
+        embed_pooled(gru, mcc, amt, starts, [0, 3], "last")
+    with pytest.raises(ValueError, match="spans out of range"):
+        embed_pooled(gru, mcc, amt, [-1, 6], lengths, "last")
     with pytest.raises(ValueError, match="shapes disagree"):
-        embed_pooled(gru, mcc, amt[:, :4], lengths, "last")
-    assert embed_pooled(gru, mcc[:0], amt[:0], lengths[:0], "last").shape == (0, 10)
+        embed_pooled(gru, mcc, amt[:4], starts, lengths, "last")
+    with pytest.raises(ValueError, match="shapes disagree"):
+        embed_pooled(gru, mcc.reshape(2, 5), amt.reshape(2, 5), starts, lengths, "last")
+    with pytest.raises(ValueError, match="shapes disagree"):
+        embed_pooled(gru, mcc, amt, starts[:1], lengths, "last")
+    assert embed_pooled(gru, mcc, amt, starts[:0], lengths[:0], "last").shape == (0, 10)
 
 
 def test_pool_padded_returns_fresh_rows(rng):

@@ -360,9 +360,7 @@ def attention_and_grads(fn, q, k, v, mask, c, r):
     return out.data, [grads[t.node_id_on(tape)] for t in ts]
 
 
-@pytest.mark.parametrize("lengths, heads", [
-    ([7, 4, 1], 4), ([7, 4, 1], 1), ([5], 1), ([5], 4), ([3, 3], 4)])
-def test_attention_matches_its_composition_bit_for_bit(lengths, heads):
+def attention_case(lengths, heads):
     rng = np.random.default_rng((len(lengths), heads))
     b, s, dh = len(lengths), max(lengths) + 1, 3
     # Slot 0 is the CLS position; keys past each row's length are padding.
@@ -372,12 +370,49 @@ def test_attention_matches_its_composition_bit_for_bit(lengths, heads):
     mask = np.repeat(valid, heads, axis=0)
     q, k, v = (1.5 * rng.normal(size=(b * heads, s, dh)) for _ in range(3))
     r = rng.normal(size=(b * heads, s, dh))
-    c = 1.0 / np.sqrt(dh)
+    return q, k, v, mask, 1.0 / np.sqrt(dh), r
+
+
+ATTENTION_CASES = [([7, 4, 1], 4), ([7, 4, 1], 1), ([5], 1), ([5], 4), ([3, 3], 4)]
+
+
+def check_attention_against_composition(lengths, heads):
+    q, k, v, mask, c, r = attention_case(lengths, heads)
     out, grads = attention_and_grads(T.attention, q, k, v, mask, c, r)
     ref_out, ref_grads = attention_and_grads(composed_attention, q, k, v, mask, c, r)
     assert np.array_equal(out, ref_out)
     for g, ref in zip(grads, ref_grads):
         assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("lengths, heads", ATTENTION_CASES)
+def test_attention_matches_its_composition_bit_for_bit(lengths, heads):
+    check_attention_against_composition(lengths, heads)
+
+
+@pytest.mark.parametrize("per_chunk", [5, 1])
+@pytest.mark.parametrize("lengths, heads", ATTENTION_CASES)
+def test_attention_in_chunks_matches_its_composition_bit_for_bit(lengths, heads,
+                                                                 per_chunk, monkeypatch):
+    """At budgets of 5 or 1 whole matrices per chunk (12 matrices split
+    5 + 5 + 2), the output and the gradients still equal the composition."""
+    s = max(lengths) + 1
+    monkeypatch.setattr(T, "ATTENTION_CHUNK_BYTES", per_chunk * 8 * s * s + 7)
+    check_attention_against_composition(lengths, heads)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_attention_in_blocks_of_query_rows_agrees_to_rounding(rows, monkeypatch):
+    """A matrix over the budget is scored in blocks of query rows, and its
+    key and value gradients summed over the blocks."""
+    q, k, v, mask, c, r = attention_case([7, 4, 1], 2)
+    ref_out, ref_grads = attention_and_grads(composed_attention, q, k, v, mask, c, r)
+    monkeypatch.setattr(T, "ATTENTION_CHUNK_BYTES", rows * 8 * q.shape[1])
+    assert len(T._attention_chunks(*q.shape[:2], k.shape[1])) == len(q) * -(-8 // rows)
+    out, grads = attention_and_grads(T.attention, q, k, v, mask, c, r)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
 
 
 def test_attention_records_once_and_passes_no_gradient_to_the_mask(rng):
@@ -387,6 +422,9 @@ def test_attention_records_once_and_passes_no_gradient_to_the_mask(rng):
         mask = Tensor(np.zeros((2, 1, 3)), requires_grad=True)
         loss = T.reduce_sum(T.attention(q, k, v, mask, 0.5))
     assert [r.op for r in tape.records] == ["attention", "reduce_sum"]
+    # The record keeps q, k^T, v and the mask; the weights are recomputed.
+    assert [a.shape for a in tape.records[0].saved] == [(2, 3, 2), (2, 2, 3), (2, 3, 2),
+                                                         (2, 1, 3)]
     grads = backward(tape, loss)
     np.testing.assert_array_equal(grads[mask.node_id_on(tape)], np.zeros((2, 1, 3)))
 

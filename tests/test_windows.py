@@ -1,4 +1,6 @@
 """Sliding windows: grid arithmetic and content-local re-encoding."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,7 +111,7 @@ def test_short_sequence_yields_empty_embedding(encoder):
 
 
 def loop_window_batch(seqs, window, stride):
-    """The padded window batch built one slice per window: the == oracle."""
+    """The window contents built one slice per window: the == oracle."""
     mcc, amt = [], []
     for seq in seqs:
         for end in window_ends(len(seq), window, stride):
@@ -121,7 +123,7 @@ def loop_window_batch(seqs, window, stride):
 @pytest.mark.parametrize("window, stride", [(16, 8), (5, 9), (7, 1), (6, 6)])
 def test_window_batch_equals_per_window_slices(window, stride, encoder, rng,
                                               monkeypatch):
-    """One index gather per client gives the batch the per-window slices
+    """The spans over the clients' columns hold what the per-window slices
     give, with clients shorter than the window and strides past it."""
     seqs = []
     for i, n in enumerate((3, 40, 16, 29, 5, 17, 6)):
@@ -132,16 +134,19 @@ def test_window_batch_equals_per_window_slices(window, stride, encoder, rng,
     batches = []
     real = windows.embed_pooled
 
-    def spy(enc, mcc, amt, lengths, pool):
-        batches.append((mcc, amt, lengths))
-        return real(enc, mcc, amt, lengths, pool)
+    def spy(enc, mcc, amt, starts, lengths, pool):
+        batches.append((mcc, amt, starts, lengths))
+        return real(enc, mcc, amt, starts, lengths, pool)
 
     monkeypatch.setattr(windows, "embed_pooled", spy)
     embs = sliding_window_embed_many(encoder, seqs, window, stride, "last")
-    (mcc, amt, lengths), = batches
+    (mcc, amt, starts, lengths), = batches
+    # The columns are the clients' own, end to end, never one window's copy.
+    assert len(mcc) == len(amt) == sum(len(seq) for seq in seqs)
     want_mcc, want_amt = loop_window_batch(seqs, window, stride)
-    assert mcc.dtype == want_mcc.dtype and np.array_equal(mcc, want_mcc)
-    assert amt.dtype == want_amt.dtype and np.array_equal(amt, want_amt)
+    idx = starts[:, None] + np.arange(window)
+    assert mcc.dtype == want_mcc.dtype and np.array_equal(mcc[idx], want_mcc)
+    assert amt.dtype == want_amt.dtype and np.array_equal(amt[idx], want_amt)
     assert np.array_equal(lengths, np.full(len(want_mcc), window))
     for seq, emb in zip(seqs, embs):
         np.testing.assert_array_equal(emb.ends, window_ends(len(seq), window, stride))
@@ -152,3 +157,26 @@ def test_no_complete_window_makes_no_encoder_call(encoder, monkeypatch):
     monkeypatch.setattr(windows, "embed_pooled", None)
     embs = sliding_window_embed_many(encoder, [seq_of([1, 2, 3]), seq_of([4])], 5, 2)
     assert [emb.matrix.shape for emb in embs] == [(0, 8), (0, 8)]
+
+
+def test_window_embedding_memory_is_the_result_plus_one_block(rng):
+    """Stride-2 windows of 200 clients, about 17,000 rows: the peak is the
+    pooled result plus a few MiB of one row block's working set. Copying out
+    each window's codes and amounts, then joining the copies, would add
+    16 bytes per step of every window twice (about 17 MiB)."""
+    clients = []
+    for i, n in enumerate(rng.integers(150, 250, size=200)):
+        m = rng.integers(1, 100, size=n)
+        clients.append(ClientSequence(client_id=f"c{i}", timestamps=np.arange(n),
+                                      mcc=m + 4000, amounts=rng.normal(size=n) * 50.0,
+                                      mcc_idx=m))
+    gru = GruEncoder(EncoderConfig(n_indices=101, d_emb=12, hidden=32), seed=0)
+    tracemalloc.start()
+    try:
+        embs = sliding_window_embed_many(gru, clients, 32, 2, "last")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = sum(emb.matrix.nbytes for emb in embs)
+    assert result > 4 * 2**20
+    assert peak < result + 6 * 2**20, (peak - result) / 2**20
