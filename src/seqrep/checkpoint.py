@@ -3,7 +3,8 @@
 Layout (all integers little-endian):
 
     magic   b"SRB1"
-    version u32
+    version u32 (2)
+    crc     u32 zlib.crc32 of every byte after this field
     digest  u32 length + utf-8 bytes (config digest of the producing run)
     then sections until end of file. Every section starts with
     u32 name length + utf-8 name. Three names have dedicated bodies:
@@ -17,8 +18,11 @@ Layout (all integers little-endian):
     Any other name is a tensor: i64 rank, rank i64 dims, then the float64
     payload in row-major order.
 
-Writes go to a temporary file in the target directory followed by an atomic
-rename, so a crash never leaves a half-written checkpoint behind.
+Every read checks the CRC before parsing, so a truncated or corrupted file
+raises CheckpointFormatError instead of loading changed values; version-1
+files, which carry no CRC, are rejected as an unsupported version. Writes go
+to a temporary file in the target directory followed by an atomic rename, so
+a crash never leaves a half-written checkpoint behind.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,7 +58,7 @@ __all__ = [
 ]
 
 MAGIC = b"SRB1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -146,7 +151,7 @@ def save_checkpoint(path: str | os.PathLike, digest: str,
     bad = reserved & set(tensors)
     if bad:
         raise CheckpointError(f"tensor names collide with reserved sections: {sorted(bad)}")
-    parts = [MAGIC, struct.pack("<I", VERSION), _pack_str(digest)]
+    parts = [_pack_str(digest)]
     if meta is not None:
         blob = json.dumps(meta, sort_keys=True, separators=(",", ":"))
         parts.append(_pack_str("META") + _pack_str(blob))
@@ -156,7 +161,10 @@ def save_checkpoint(path: str | os.PathLike, digest: str,
         parts.append(_pack_tensor(name, tensors[name]))
     if store is not None:
         parts.append(_pack_store(store))
-    atomic_write_bytes(path, b"".join(parts))
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    atomic_write_bytes(path, b"".join([MAGIC, struct.pack("<II", VERSION, crc), *parts]))
 
 
 class _Reader:
@@ -256,6 +264,9 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         raise CheckpointFormatError(
             f"{path}: unsupported container version {version} (expected {VERSION})"
         )
+    crc = r.u32()
+    if zlib.crc32(memoryview(data)[r.pos:]) != crc:
+        raise CheckpointFormatError(f"{path}: checksum mismatch (corrupted or truncated)")
     ckpt = Checkpoint(digest=r.string())
     while not r.done():
         name = r.string()

@@ -363,11 +363,7 @@ def train_attention_matrix(model, store: EmbeddingStore,
                 ids)
             with Tape() as tape:
                 loss = attention_loss(a, own, x, valid, ids, margin)
-            grads = backward(tape, loss)
-            nid = a.maybe_node_id(tape)
-            g = grads.get(nid) if nid is not None else None
-            if g is not None:
-                optimizer.step([g])
+            optimizer.step(backward(tape, loss, [a]))
             total += loss.item()
             batches += 1
         if batches == 0:

@@ -32,6 +32,7 @@ from .nn import (
     add,
     attention,
     concat,
+    divide,
     gather,
     gru_scan,
     gru_scan_time_major,
@@ -63,7 +64,6 @@ __all__ = [
     "encode_sequence",
     "pool_global",
     "pool_batch",
-    "pool_padded",
     "embed_pooled",
     "span_columns",
     "zero_pinned_rows",
@@ -279,7 +279,7 @@ class GruEncoder:
         each gather, embed and project only their own steps, for the rows
         still running, from the state the previous time block left. Pooling
         runs along, so no (B, L) input or (B, L, d) state tensor is ever
-        built. Rows equal `pool_padded(forward(...))` of the padded batch
+        built. Rows equal `pool_batch(forward(...))` of the padded batch
         (width max(lengths)) bit for bit (mean pooling for a hidden width of
         at least 2) wherever BLAS gives a product row the same bits at any
         row count of two or more: every product keeps the BLAS path it takes
@@ -334,7 +334,7 @@ class GruEncoder:
             else:
                 valid = steps < lengths[None, :n]
                 if strategy == "mean":
-                    # In time order, as pool_padded's masked sum adds them.
+                    # In time order, as pool_batch's masked sum adds them.
                     acc[:n] = np.concatenate(
                         [acc[None, :n], states * valid[:, :, None]]).sum(axis=0)
                 else:
@@ -496,7 +496,7 @@ class TransformerEncoder:
             mcc, amt = _read_spans(mcc_idx, amounts_t, starts[idx, None],
                                    lengths[idx, None], np.arange(width)[None, :])
             hidden, cls_out = self.forward(mcc, amt, lengths[idx])
-            out[idx] = pool_padded(hidden.data, lengths[idx], strategy, cls_out.data)
+            out[idx] = pool_batch(hidden, lengths[idx], strategy, cls_out).data
             lo += len(idx)
         return out
 
@@ -534,7 +534,9 @@ def pool_global(hidden: HiddenSequence, strategy: str) -> GlobalRepresentation:
 
 def pool_batch(hidden: Tensor, lengths: np.ndarray, strategy: str,
                cls_out: Optional[Tensor] = None) -> Tensor:
-    """Tape-side pooling of padded (B, L, d) states into (B, d)."""
+    """Pooling of padded (B, L, d) states into (B, d), on the tape when one
+    records. The rows never view `hidden`, so a caller that keeps them does
+    not keep the whole batch of states alive."""
     if strategy not in POOL_STRATEGIES:
         raise ValueError(f"unknown pooling strategy {strategy!r}")
     b, length, d = hidden.shape
@@ -546,36 +548,13 @@ def pool_batch(hidden: Tensor, lengths: np.ndarray, strategy: str,
             return cls_out
         return reshape(take_slice(hidden, (slice(None), 0)), (b, d))
     if strategy == "last":
-        pick = np.zeros((b, 1, length))
-        pick[np.arange(b), 0, lengths - 1] = 1.0
-        return reshape(matmul(Tensor(pick), hidden), (b, d))
+        return gather(reshape(hidden, (b * length, d)), np.arange(b) * length + lengths - 1)
     mask = (np.arange(length)[None, :] < lengths[:, None]).astype(np.float64)
     if strategy == "mean":
         summed = reduce_sum(multiply(hidden, Tensor(mask[:, :, None])), axis=1)
-        return multiply(summed, Tensor(1.0 / lengths[:, None]))
+        return divide(summed, Tensor(lengths[:, None].astype(np.float64)))
     neg = Tensor(np.where(mask[:, :, None] > 0, 0.0, MASK_SCORE))
     return reduce_max(add(hidden, neg), axis=1)
-
-
-def pool_padded(hidden: np.ndarray, lengths: np.ndarray, strategy: str,
-                cls: Optional[np.ndarray] = None) -> np.ndarray:
-    """Numpy pooling of padded (B, L, d) states into a fresh (B, d) array.
-
-    The result never views `hidden`, so a caller that keeps pooled rows does
-    not keep the whole batch of states alive.
-    """
-    b, length, _ = hidden.shape
-    if strategy == "last":
-        return hidden[np.arange(b), lengths - 1]
-    if strategy == "first_token":
-        return np.array(cls if cls is not None else hidden[:, 0])
-    mask = np.arange(length)[None, :] < lengths[:, None]
-    if strategy == "mean":
-        return ((hidden * mask[:, :, None]).sum(axis=1)
-                / lengths[:, None].astype(np.float64))
-    if strategy == "max":
-        return np.where(mask[:, :, None], hidden, -np.inf).max(axis=1)
-    raise ValueError(f"unknown pooling strategy {strategy!r}")
 
 
 def span_columns(sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

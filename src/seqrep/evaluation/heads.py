@@ -14,9 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..encoders import Linear
-from ..nn import Adam, Tape, Tensor, relu, softmax
+from ..nn import Adam, Tape, Tensor, backward, relu, softmax
 from ..objectives.losses import cross_entropy
-from ..objectives.train import named_grads
 
 __all__ = [
     "ProbeConfig",
@@ -67,9 +66,8 @@ class MlpProbe:
         if y.min() < 0 or y.max() >= self.n_classes:
             raise ValueError("labels outside configured class range")
         cfg = self.config
-        named = self.parameters()
-        names = [n for n, _ in named]
-        optimizer = Adam([p for _, p in named], lr=cfg.lr)
+        params = [p for _, p in self.parameters()]
+        optimizer = Adam(params, lr=cfg.lr)
         rng = np.random.default_rng((seed, 29))
         onehot = np.zeros((len(y), self.n_classes))
         onehot[np.arange(len(y)), y] = 1.0
@@ -79,8 +77,7 @@ class MlpProbe:
                 idx = order[lo : lo + cfg.batch_size]
                 with Tape() as tape:
                     loss = cross_entropy(self._logits(x[idx]), onehot[idx])
-                grads = named_grads(self, tape, loss)
-                optimizer.step([grads[n] for n in names])
+                optimizer.step(backward(tape, loss, params))
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

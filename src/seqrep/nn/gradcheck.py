@@ -34,8 +34,7 @@ def grad_check(
         loss = fn(*xs)
         if loss.size != 1:
             raise ValueError(f"grad_check needs a scalar function, got {loss.shape}")
-        grads = backward(tape, loss)
-    analytic = [grads[x._node_id] for x in xs]
+        analytic = backward(tape, loss, xs)
 
     def eval_at(vals: list[np.ndarray]) -> float:
         return fn(*[Tensor(v) for v in vals]).item()

@@ -2,18 +2,20 @@
 
 Forward primitives run as plain numpy when no tape is active (inference
 mode). With an active tape, any primitive touching a grad-requiring input
-is recorded and `backward` replays the records in reverse. A record keeps
-its output's shape and only the arrays its adjoint reads, and `backward`
-consumes the tape, dropping each record once replayed, so an intermediate
-array lives no longer than the last adjoint that needs it. Everything is
-64-bit and single-threaded per tape, so repeated passes are bit-identical.
+is recorded and `backward` replays the records in reverse. Only tensors
+that require a gradient get a node id; a constant input is neither named
+nor held by the tape. A record keeps its inputs' shapes and only the arrays
+its adjoint reads, and `backward` consumes the tape, dropping each record
+once replayed, so an intermediate array lives no longer than the last
+adjoint that needs it. Everything is 64-bit and single-threaded per tape, so
+repeated passes are bit-identical.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -115,20 +117,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def node_id_on(self, tape: "Tape") -> int:
-        """Node id of this tensor on `tape`, registering a leaf if needed."""
-        if self._tape is tape and self._node_id is not None:
-            return self._node_id
-        nid = tape.register_leaf(self)
-        self._tape = tape
-        self._node_id = nid
-        return nid
-
-    def maybe_node_id(self, tape: "Tape") -> Optional[int]:
-        """Node id on `tape` if this tensor participated, else None."""
-        if self._tape is tape and self._node_id is not None:
-            return self._node_id
-        return None
+    def node_id_on(self, tape: "Tape") -> Optional[int]:
+        """Node id of this tensor on `tape`, naming a leaf if needed; None
+        for a constant, which the tape does not track."""
+        if not self.requires_grad:
+            return None
+        if self._tape is not tape:
+            self._tape = tape
+            self._node_id = tape.new_id()
+        return self._node_id
 
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
@@ -144,11 +141,11 @@ class Record:
     """One applied primitive: enough to run its adjoint."""
 
     op: str
-    input_ids: tuple[int, ...]
+    input_ids: tuple[Optional[int], ...]
     output_id: int
     params: dict
     saved: tuple
-    shape: tuple[int, ...]
+    shapes: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -161,19 +158,11 @@ class Tape:
 
     records: list[Record] = field(default_factory=list)
     _next_id: int = 0
-    leaf_values: dict[int, np.ndarray] = field(default_factory=dict)
-    leaf_requires: dict[int, bool] = field(default_factory=dict)
     consumed: bool = False
 
     def new_id(self) -> int:
         nid = self._next_id
         self._next_id += 1
-        return nid
-
-    def register_leaf(self, tensor: Tensor) -> int:
-        nid = self.new_id()
-        self.leaf_values[nid] = tensor.data
-        self.leaf_requires[nid] = tensor.requires_grad
         return nid
 
     def __enter__(self) -> "Tape":
@@ -234,17 +223,18 @@ def apply_primitive(op: str, *inputs: Tensor, **params) -> Tensor:
         out._tape = tape
         out._node_id = out_id
         tape.records.append(
-            Record(op, input_ids, out_id, params, saved, out_data.shape)
+            Record(op, input_ids, out_id, params, saved, tuple(a.shape for a in arrays))
         )
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every requires-grad leaf on `tape`.
+def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+    """Gradients of a scalar loss w.r.t. each leaf tensor of `wrt`, in order.
 
-    Returns a map node-id -> gradient array. Leaves unreachable from the
-    loss get explicit zeros. Iteration order is the reverse record order,
-    so repeated passes are bit-identical.
+    A leaf is a tensor no recorded primitive produced, such as a parameter.
+    One the loss does not reach on `tape`, or that was never on it, gets
+    zeros. Records replay in reverse order, so repeated passes are
+    bit-identical.
 
     The replay consumes the tape: each record is dropped once its adjoint
     has run, which frees the arrays it saved, and a second `backward` on
@@ -261,38 +251,23 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     grads: dict[int, np.ndarray] = {
         loss._node_id: np.ones_like(loss.data)
     }
-    shapes: dict[int, tuple[int, ...]] = {
-        nid: v.shape for nid, v in tape.leaf_values.items()
-    }
-    for rec in tape.records:
-        shapes[rec.output_id] = rec.shape
-
     records = tape.records
     while records:
         rec = records.pop()
         g = grads.pop(rec.output_id, None)
         if g is None:
             continue
-        in_shapes = tuple(shapes[i] for i in rec.input_ids)
-        contribs = _VJP[rec.op](g, rec.saved, rec.params, in_shapes)
+        contribs = _VJP[rec.op](g, rec.saved, rec.params, rec.shapes)
         for nid, contrib in zip(rec.input_ids, contribs):
-            if contrib is None:
+            if nid is None or contrib is None:
                 continue
             acc = grads.get(nid)
             if acc is None:
                 grads[nid] = contrib
             else:
                 grads[nid] = acc + contrib
-
-    out: dict[int, np.ndarray] = {}
-    for nid, req in tape.leaf_requires.items():
-        if not req:
-            continue
-        g = grads.get(nid)
-        if g is None:
-            g = np.zeros_like(tape.leaf_values[nid])
-        out[nid] = g
-    return out
+    return [grads[t._node_id] if t._tape is tape and t._node_id in grads
+            else np.zeros_like(t.data) for t in wrt]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

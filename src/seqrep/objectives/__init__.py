@@ -24,7 +24,7 @@ from .sampling import (
     mlm_corrupt,
     pad_batch,
 )
-from .train import EpochStats, TrainResult, named_grads, train
+from .train import EpochStats, TrainResult, train
 
 __all__ = [
     "OBJECTIVES",
@@ -44,7 +44,6 @@ __all__ = [
     "contrastive_loss",
     "masked_joint_loss",
     "mlm_corrupt",
-    "named_grads",
     "normalize_rows",
     "pad_batch",
     "train",

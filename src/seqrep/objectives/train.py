@@ -19,9 +19,9 @@ import numpy as np
 
 from ..data.types import ClientSequence
 from ..encoders import zero_pinned_rows
-from ..nn import Adam, NonFiniteError, Tape, Tensor, backward
+from ..nn import Adam, NonFiniteError, Tape, backward
 
-__all__ = ["EpochStats", "TrainResult", "train", "named_grads"]
+__all__ = ["EpochStats", "TrainResult", "train"]
 
 logger = logging.getLogger("seqrep.train")
 
@@ -44,17 +44,6 @@ class TrainResult:
     history: list[EpochStats]
     best_epoch: int
     best_val: Optional[float]
-
-
-def named_grads(model, tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
-    """Backward pass keyed by parameter name; unused parameters get zeros."""
-    node_grads = backward(tape, loss)
-    out = {}
-    for name, p in model.parameters():
-        nid = p.maybe_node_id(tape)
-        g = node_grads.get(nid) if nid is not None else None
-        out[name] = g if g is not None else np.zeros_like(p.data)
-    return out
 
 
 def _mean_loss(model, batches: Sequence[dict]) -> float:
@@ -97,13 +86,13 @@ def train(model, train_clients: Sequence[ClientSequence],
             try:
                 with Tape() as tape:
                     loss = model.loss(batch)
-                grads = named_grads(model, tape, loss)
+                grads = backward(tape, loss, tensors)
             except NonFiniteError as err:
                 raise NonFiniteError(
                     f"epoch {epoch} batch {bi}: {err}"
                 ) from err
-            zero_pinned_rows(grads)
-            optimizer.step([grads[n] for n in names])
+            zero_pinned_rows(dict(zip(names, grads)))
+            optimizer.step(grads)
             running += loss.item()
         train_loss = running / len(batches)
 

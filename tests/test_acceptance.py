@@ -36,6 +36,7 @@ from seqrep.nn import (
     Tensor,
     add,
     attention,
+    backward,
     concat,
     divide,
     gather,
@@ -61,7 +62,6 @@ from seqrep.nn import (
 )
 from seqrep.objectives.models import OBJECTIVES, TrainConfig, build_model
 from seqrep.objectives.sampling import mlm_corrupt
-from seqrep.objectives.train import named_grads
 from seqrep.pipeline import (
     build_context,
     compare_objectives,
@@ -515,7 +515,8 @@ def _overfit_one_batch(objective, cfg, splits, steps=500, lr=1e-2):
     model = build_model(objective, enc, tc, n_classes=2, seed=0)
     batch = model.iter_batches(splits.train, np.random.default_rng(0))[0]
     names = [n for n, _ in model.parameters()]
-    opt = Adam([t for _, t in model.parameters()], lr=lr)
+    params = [t for _, t in model.parameters()]
+    opt = Adam(params, lr=lr)
     first = best = None
     for _ in range(steps):
         with Tape() as tape:
@@ -525,9 +526,9 @@ def _overfit_one_batch(objective, cfg, splits, steps=500, lr=1e-2):
         best = val if best is None else min(best, val)
         if best <= 0.1 * first:
             return first, best
-        grads = named_grads(model, tape, loss)
-        zero_pinned_rows(grads)
-        opt.step([grads[n] for n in names])
+        grads = backward(tape, loss, params)
+        zero_pinned_rows(dict(zip(names, grads)))
+        opt.step(grads)
     return first, best
 
 

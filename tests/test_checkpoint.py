@@ -1,8 +1,11 @@
 """Checkpoint container: round trips, error taxonomy, atomic writes."""
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqrep.checkpoint import (
     MAGIC,
@@ -26,6 +29,11 @@ from seqrep.evaluation.windows import WindowEmbeddings
 from seqrep.objectives.models import build_model
 
 DIGEST = "d" * 64
+
+
+def framed(body: bytes) -> bytes:
+    """A container of `body` (digest and sections) behind a valid header."""
+    return MAGIC + struct.pack("<II", VERSION, zlib.crc32(body)) + body
 
 
 def test_tensor_round_trip_preserves_shapes(tmp_path, rng):
@@ -81,14 +89,13 @@ def test_store_section_bytes_match_the_row_by_row_layout(tmp_path, rng):
         raw = s.encode("utf-8")
         return struct.pack("<I", len(raw)) + raw
 
-    want = MAGIC + struct.pack("<I", VERSION) + text(DIGEST) + text("CTXSTORE")
-    want += struct.pack("<qq", 3, dim)
+    want = text(DIGEST) + text("CTXSTORE") + struct.pack("<qq", 3, dim)
     for cid in sorted(store.series):
         ts, matrix = store.series[cid]
         want += text(cid) + struct.pack("<q", len(ts))
         for t, row in zip(ts, matrix):
             want += struct.pack("<q", int(t)) + struct.pack(f"<{dim}d", *row)
-    assert path.read_bytes() == want
+    assert path.read_bytes() == framed(want)
 
     loaded = load_checkpoint(path).store
     embs = [WindowEmbeddings(client_id=cid, matrix=rng.normal(size=(5, dim)),
@@ -160,15 +167,14 @@ def test_duplicate_sections_rejected(tmp_path):
         return struct.pack("<I", len(raw)) + raw + body
 
     digest = DIGEST.encode()
-    head = MAGIC + struct.pack("<I", VERSION)
-    head += struct.pack("<I", len(digest)) + digest
+    head = struct.pack("<I", len(digest)) + digest
     meta = packed("META", struct.pack("<I", 2) + b"{}")
     path = tmp_path / "dup.ckpt"
-    path.write_bytes(head + meta + meta)
+    path.write_bytes(framed(head + meta + meta))
     with pytest.raises(CheckpointFormatError, match="duplicate META"):
         load_checkpoint(path)
     tensor = packed("w", struct.pack("<qq", 1, 1) + struct.pack("<d", 0.0))
-    path.write_bytes(head + tensor + tensor)
+    path.write_bytes(framed(head + tensor + tensor))
     with pytest.raises(CheckpointFormatError, match="duplicate tensor"):
         load_checkpoint(path)
 
@@ -176,9 +182,8 @@ def test_duplicate_sections_rejected(tmp_path):
 def crafted(path, *sections):
     """A checkpoint file of the given raw sections after a valid header."""
     digest = DIGEST.encode()
-    head = MAGIC + struct.pack("<I", VERSION) + struct.pack("<I", len(digest)) + digest
-    path.write_bytes(head + b"".join(
-        struct.pack("<I", len(name)) + name.encode() + body for name, body in sections))
+    path.write_bytes(framed(struct.pack("<I", len(digest)) + digest + b"".join(
+        struct.pack("<I", len(name)) + name.encode() + body for name, body in sections)))
     return path
 
 
@@ -323,3 +328,100 @@ def test_load_model_accepts_meta_with_arch(tmp_path, tiny_cfg, tiny_splits,
 def test_checkpoint_dataclass_defaults():
     ckpt = Checkpoint(digest="x")
     assert ckpt.tensors == {}
+
+
+def test_version_1_file_is_rejected(tmp_path):
+    """Version-1 files carry no CRC, so they are not read."""
+    digest = DIGEST.encode()
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", 1, len(digest)) + digest)
+    with pytest.raises(CheckpointFormatError,
+                       match=f"{path}: unsupported container version 1"):
+        load_checkpoint(path)
+
+
+def test_checksum_mismatch_is_format_error(tmp_path):
+    path = tmp_path / "crc.ckpt"
+    save_checkpoint(path, DIGEST, tensors={"w": np.arange(4.0)})
+    payload = bytearray(path.read_bytes())
+    payload[-1] ^= 0x40
+    path.write_bytes(bytes(payload))
+    with pytest.raises(CheckpointFormatError, match=f"{path}: checksum mismatch"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def corruptible(tmp_path_factory, trained):
+    """A model checkpoint and a context store: each file's bytes and a
+    function that loads a path and says whether it matches the original."""
+    model, vocab = trained
+    base = tmp_path_factory.mktemp("corrupt")
+    model_path = base / "model.ckpt"
+    save_model(model_path, model, vocab, DIGEST)
+    params = {name: p.data for name, p in model.parameters()}
+
+    def model_unchanged(path):
+        loaded, ckpt = load_model(path, expected_digest=DIGEST)
+        return (ckpt.vocab.mapping == vocab.mapping
+                and all(np.array_equal(p.data, params[name])
+                        for name, p in loaded.parameters()))
+
+    rng = np.random.default_rng(41)
+    store = EmbeddingStore(dim=3)
+    for i in range(4):
+        store.add_series(f"c{i}", np.sort(rng.integers(0, 50, size=i + 1)),
+                         rng.normal(size=(i + 1, 3)))
+    store_path = base / "store.ckpt"
+    save_checkpoint(store_path, DIGEST, store=store)
+
+    def store_unchanged(path):
+        loaded = load_checkpoint(path).store
+        return (loaded.client_ids() == store.client_ids()
+                and all(np.array_equal(loaded.series[c][0], store.series[c][0])
+                        and np.array_equal(loaded.series[c][1], store.series[c][1])
+                        for c in store.client_ids()))
+
+    return {"model": (model_path.read_bytes(), model_unchanged),
+            "store": (store_path.read_bytes(), store_unchanged)}
+
+
+def loads_unchanged_or_names_the_file(path, payload, unchanged):
+    path.write_bytes(payload)
+    try:
+        return unchanged(path)
+    except CheckpointError as err:
+        assert str(path) in str(err)
+        return False
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["model", "store"]), cut=st.booleans(),
+       at=st.floats(0.0, 1.0, exclude_max=True), byte=st.integers(0, 255))
+def test_a_cut_or_changed_byte_loads_unchanged_or_is_rejected(corruptible, tmp_path,
+                                                              kind, cut, at, byte):
+    original, unchanged = corruptible[kind]
+    pos = int(at * len(original))
+    if cut:
+        payload = original[:pos]
+    else:
+        payload = original[:pos] + bytes([byte]) + original[pos + 1:]
+    same = loads_unchanged_or_names_the_file(tmp_path / f"{kind}.ckpt", payload,
+                                             unchanged)
+    assert same == (payload == original)
+
+
+@pytest.mark.parametrize("kind", ["model", "store"])
+def test_every_single_bit_flip_is_rejected(corruptible, tmp_path, kind):
+    """Every bit of the store file, and 1,000 sampled bits of the model's."""
+    original, unchanged = corruptible[kind]
+    bits = np.arange(8 * len(original))
+    if kind == "model":
+        bits = np.random.default_rng(5).choice(bits, size=1000, replace=False)
+    path = tmp_path / f"{kind}.ckpt"
+    for bit in bits:
+        payload = bytearray(original)
+        payload[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(CheckpointError, match=str(path)):
+            path.write_bytes(bytes(payload))
+            unchanged(path)

@@ -362,7 +362,7 @@ def test_attention_loss_gradient_with_a_contextless_sample(rng):
     with Tape() as tape:
         a = Tensor(a0, requires_grad=True)
         loss = attention_loss(a, own, x, valid, ids)
-    assert np.any(backward(tape, loss)[a.maybe_node_id(tape)] != 0.0)
+    assert np.any(backward(tape, loss, [a])[0] != 0.0)
 
 
 def loop_fit(model, store, clients, epochs, lr, seed, n_slices, length_range,
@@ -405,7 +405,7 @@ def loop_fit(model, store, clients, epochs, lr, seed, n_slices, length_range,
                 augmented = concat([Tensor(np.stack(own)), concat(rows, axis=0)], axis=1)
                 loss = contrastive_loss(normalize_rows(augmented), np.array(ids),
                                         margin=margin)
-            optimizer.step([backward(tape, loss)[a.maybe_node_id(tape)]])
+            optimizer.step(backward(tape, loss, [a]))
             total += loss.item()
             batches += 1
         history.append(total / batches)

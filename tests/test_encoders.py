@@ -20,7 +20,6 @@ from seqrep.encoders import (
     gru_cell,
     pool_batch,
     pool_global,
-    pool_padded,
     zero_pinned_rows,
 )
 from seqrep.evaluation.protocol import FrozenModel, global_embeddings
@@ -44,7 +43,7 @@ from seqrep.nn import (
     take_slice,
     tanh,
 )
-from seqrep.objectives import TrainConfig, build_model, named_grads
+from seqrep.objectives import TrainConfig, build_model
 from seqrep.objectives.sampling import pad_batch
 
 
@@ -186,7 +185,7 @@ def test_pool_batch_gradients_flow(rng):
         if loss is None:
             from seqrep.nn import reduce_sum
             loss = reduce_sum(pooled)
-    g = backward(tape, loss)[hidden.node_id_on(tape)]
+    (g,) = backward(tape, loss, [hidden])
     # Positions past each length get zero gradient.
     np.testing.assert_array_equal(g[1, 2:], np.zeros((3, 3)))
     assert np.all(g[0] != 0)
@@ -334,13 +333,12 @@ BLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 @pytest.mark.parametrize("arch", ["gru", "transformer"])
 def test_blocked_pooling_equals_the_padded_forward(arch, case, strategy, gru, txf, rng):
-    """At the default block sizes every row equals pool_padded of one forward
+    """At the default block sizes every row equals pool_batch of one forward
     pass over the whole padded batch, bit for bit."""
     encoder = gru if arch == "gru" else txf
     mcc, amt, lengths = padded(rng, BLOCK_CASES[case])
     hidden, cls_out = encoder.forward(mcc, amt, lengths)
-    want = pool_padded(hidden.data, lengths, strategy,
-                       None if cls_out is None else cls_out.data)
+    want = pool_batch(hidden, lengths, strategy, cls_out).data
     got = embed_padded(encoder, mcc, amt, lengths, strategy)
     assert np.array_equal(got, want)
 
@@ -379,7 +377,7 @@ def test_transformer_chunks_fit_their_budget(txf, rng, monkeypatch):
     for strategy in POOL_STRATEGIES:
         got = embed_padded(txf, mcc, amt, lengths, strategy)
         np.testing.assert_allclose(
-            got, pool_padded(hidden.data, lengths, strategy, cls_out.data),
+            got, pool_batch(hidden, lengths, strategy, cls_out).data,
             rtol=1e-12, atol=1e-14)
     assert sum(b for b, _ in shapes) == 4 * len(lengths)
     for b, width in shapes:
@@ -405,7 +403,7 @@ def sweep_case(seed):
     strategy = POOL_STRATEGIES[seed % 4]
     hidden = 1 + (7 * seed) % 40
     if strategy == "mean":
-        # A width-1 mean sums its steps pairwise in pool_padded.
+        # A width-1 mean sums its steps pairwise in pool_batch.
         hidden = max(hidden, 2)
     d_in = 1 + (5 * seed) % 16
     b = 1 if seed % 6 == 0 else int(rng.integers(2, 80))
@@ -422,7 +420,7 @@ def sweep_case(seed):
 def test_gru_blocked_pooling_matches_the_padded_forward_at_any_width(seed):
     encoder, mcc, amt, lengths, strategy = sweep_case(seed)
     hidden, _ = encoder.forward(mcc, amt, lengths)
-    want = pool_padded(hidden.data, lengths, strategy)
+    want = pool_batch(hidden, lengths, strategy).data
     got = embed_padded(encoder, mcc, amt, lengths, strategy)
     d_in, d = encoder.config.input_width, encoder.hidden
     if blas_rows_are_independent(d_in, d) and blas_rows_are_independent(d, d):
@@ -540,7 +538,7 @@ def test_one_long_transformer_row_is_bounded_by_the_budget(monkeypatch):
     # Unblocked: a chunk of one whole (3001, 3001) weight matrix.
     monkeypatch.setattr(tensor_module, "ATTENTION_CHUNK_BYTES", 8 * (n + 1) ** 2)
     hidden, cls_out = encoder.forward(mcc[None], amt[None], np.array([n]))
-    np.testing.assert_allclose(got, pool_padded(hidden.data, np.array([n]), "mean"),
+    np.testing.assert_allclose(got, pool_batch(hidden, np.array([n]), "mean").data,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_cls, cls_out.data, rtol=0, atol=1e-12)
 
@@ -565,15 +563,15 @@ def test_embed_pooled_validates_its_batch(gru, rng):
     assert embed_pooled(gru, mcc, amt, starts[:0], lengths[:0], "last").shape == (0, 10)
 
 
-def test_pool_padded_returns_fresh_rows(rng):
-    hidden = rng.normal(size=(3, 6, 4))
+def test_pool_batch_returns_fresh_rows(rng):
+    hidden = Tensor(rng.normal(size=(3, 6, 4)))
     lengths = np.array([6, 2, 4])
     for strategy in POOL_STRATEGIES:
-        out = pool_padded(hidden, lengths, strategy)
+        out = pool_batch(hidden, lengths, strategy).data
         assert out.shape == (3, 4)
-        assert not np.shares_memory(out, hidden)
+        assert not np.shares_memory(out, hidden.data)
     with pytest.raises(ValueError):
-        pool_padded(hidden, lengths, "middle")
+        pool_batch(hidden, lengths, "middle")
 
 
 def test_encoder_config_validation():
@@ -619,9 +617,7 @@ def scan_and_grads(scan, core, x, h0, weights):
         ht = Tensor(h0, requires_grad=True)
         out = scan(core, xt, ht)
         loss = reduce_sum(multiply(out, Tensor(weights)))
-        grads = backward(tape, loss)
-    wrt = [xt, ht] + [core.gates[k] for k in GATE_KEYS]
-    return out.data, [grads[t.node_id_on(tape)] for t in wrt]
+    return out.data, backward(tape, loss, [xt, ht] + [core.gates[k] for k in GATE_KEYS])
 
 
 def random_scan_case(seed):
@@ -658,18 +654,19 @@ def test_fused_scan_model_grads_are_bit_identical(objective, tiny_cfg, tiny_spli
     model = build_model(objective, cfg, TrainConfig(batch_size=8, max_len=40), seed=0)
     batch = model.iter_batches(tiny_splits.train, np.random.default_rng(0))[0]
 
+    named = model.parameters()
+
     def grads():
         with Tape() as tape:
             loss = model.loss(batch)
-        return loss.item(), named_grads(model, tape, loss)
+        return loss.item(), backward(tape, loss, [p for _, p in named])
 
     loss, fused = grads()
     monkeypatch.setattr(GruCore, "scan", composed_scan)
     ref_loss, ref = grads()
     assert loss == ref_loss
-    assert fused.keys() == ref.keys()
-    for name in ref:
-        assert np.array_equal(fused[name], ref[name]), name
+    for (name, _), got, want in zip(named, fused, ref, strict=True):
+        assert np.array_equal(got, want), name
 
 
 def test_gru_cell_loop_matches_scan(rng):

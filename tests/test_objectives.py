@@ -21,7 +21,6 @@ from seqrep.objectives import (
     ts2vec_hierarchical_loss,
 )
 from seqrep.objectives.models import Ts2VecModel, _resolve_pool
-from seqrep.objectives.train import named_grads
 
 
 # ---------------------------------------------------------------- sampling
@@ -269,7 +268,7 @@ def test_ts2vec_overlap_gather_matches_the_one_hot_product(rng):
             hidden = Tensor(rng.normal(size=(b, length, d)), requires_grad=True)
             z = select(hidden, offsets, t_o)
             loss = reduce_sum(multiply(z, Tensor(r)))
-        return z.data, backward(tape, loss)[hidden.node_id_on(tape)]
+        return z.data, backward(tape, loss, [hidden])[0]
 
     state = rng.bit_generator.state
     z, g = run(Ts2VecModel._select_overlap)
@@ -365,7 +364,7 @@ def test_mlm_training_step_memory_is_bounded(rng):
     try:
         with Tape() as tape:
             loss = model.loss(batch)
-        named_grads(model, tape, loss)
+        backward(tape, loss, [p for _, p in model.parameters()])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

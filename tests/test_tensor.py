@@ -147,27 +147,26 @@ def test_backward_simple_chain():
     with Tape() as tape:
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
         loss = T.reduce_sum(T.multiply(x, x))
-    grads = backward(tape, loss)
-    np.testing.assert_allclose(grads[x.node_id_on(tape)], 2 * x.data)
+    (g,) = backward(tape, loss, [x])
+    np.testing.assert_allclose(g, 2 * x.data)
 
 
 def test_backward_unreachable_leaf_gets_zeros():
     with Tape() as tape:
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(3), requires_grad=True)
-        xid = x.node_id_on(tape)
-        yid = y.node_id_on(tape)
+        T.relu(y)
         loss = T.reduce_sum(x)
-    grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[yid], np.zeros(3))
-    np.testing.assert_array_equal(grads[xid], np.ones(3))
+    gx, gy = backward(tape, loss, [x, y])
+    np.testing.assert_array_equal(gy, np.zeros(3))
+    np.testing.assert_array_equal(gx, np.ones(3))
 
 
 def test_backward_accumulates_over_reuse():
     with Tape() as tape:
         x = Tensor(np.array([2.0]), requires_grad=True)
         loss = T.reduce_sum(T.add(T.multiply(x, x), x))
-    g = backward(tape, loss)[x.node_id_on(tape)]
+    (g,) = backward(tape, loss, [x])
     np.testing.assert_allclose(g, np.array([5.0]))
 
 
@@ -177,7 +176,7 @@ def test_backward_requires_loss_on_tape():
         loss = T.reduce_sum(x)
     with Tape() as other:
         with pytest.raises(TapeError):
-            backward(other, loss)
+            backward(other, loss, [x])
 
 
 def test_backward_is_bit_deterministic(rng):
@@ -188,8 +187,7 @@ def test_backward_is_bit_deterministic(rng):
             b = Tensor(r.normal(size=(8, 8)), requires_grad=True)
             h = T.tanh(T.matmul(a, b))
             loss = T.reduce_sum(T.multiply(h, h))
-        grads = backward(tape, loss)
-        return grads[a.node_id_on(tape)].copy(), grads[b.node_id_on(tape)].copy()
+        return backward(tape, loss, [a, b])
 
     ga1, gb1 = run()
     ga2, gb2 = run()
@@ -209,13 +207,37 @@ def test_no_tape_means_no_tracking():
     assert y._tape is None and y._node_id is None
 
 
-def test_maybe_node_id_distinguishes_tapes():
-    with Tape() as t1:
-        x = Tensor(np.ones(2), requires_grad=True)
-        xid = x.node_id_on(t1)
-    assert x.maybe_node_id(t1) == xid
-    with Tape() as t2:
-        assert x.maybe_node_id(t2) is None
+def test_backward_returns_gradients_in_wrt_order():
+    """One gradient per tensor of `wrt`, in its order; zeros for a tensor
+    the loss does not reach and for one only ever on another tape."""
+    with Tape():
+        elsewhere = T.tanh(Tensor(np.ones(2), requires_grad=True))
+    with Tape() as tape:
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0]), requires_grad=True)
+        unused = Tensor(np.ones((2, 2)), requires_grad=True)
+        loss = T.reduce_sum(T.multiply(a, b))
+    grads = backward(tape, loss, [b, elsewhere, a, unused, b])
+    want = [np.array([3.0]), np.zeros(2), np.array([3.0, 3.0]), np.zeros((2, 2)),
+            np.array([3.0])]
+    assert len(grads) == len(want)
+    for g, w in zip(grads, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_a_constant_is_not_held_by_the_tape():
+    """`add` saves nothing, so once the caller drops a constant input the
+    tape keeps no reference to its array, even before backward runs."""
+    with Tape() as tape:
+        x = Tensor(np.ones(1 << 16), requires_grad=True)
+        c = Tensor(np.full(1 << 16, 2.0))
+        loss = T.reduce_sum(T.add(x, c))
+    held = weakref.ref(c.data)
+    del c
+    assert held() is None
+    assert tape.records[0].input_ids[1] is None
+    (g,) = backward(tape, loss, [x])
+    np.testing.assert_array_equal(g, np.ones(1 << 16))
 
 
 def test_nested_tapes_restore_outer():
@@ -311,7 +333,7 @@ def test_records_keep_shapes_not_outputs():
     del y
     # Neither add nor reduce_sum's adjoint reads the sum itself.
     assert y_data() is None
-    assert [r.shape for r in tape.records] == [(2, 3), ()]
+    assert [r.shapes for r in tape.records] == [((2, 3), (2, 3)), ((2, 3),)]
 
 
 def test_backward_frees_each_record_once_replayed(monkeypatch):
@@ -329,7 +351,7 @@ def test_backward_frees_each_record_once_replayed(monkeypatch):
         return exact(g, saved, params, shapes)
 
     monkeypatch.setitem(T._VJP, "tanh", spy)
-    backward(tape, loss)
+    backward(tape, loss, [x])
     assert freed == [True]
 
 
@@ -337,10 +359,10 @@ def test_second_backward_on_a_tape_is_rejected():
     with Tape() as tape:
         x = Tensor(np.ones(3), requires_grad=True)
         loss = T.reduce_sum(T.tanh(x))
-    backward(tape, loss)
+    backward(tape, loss, [x])
     assert tape.records == []
     with pytest.raises(TapeError, match="consumed"):
-        backward(tape, loss)
+        backward(tape, loss, [x])
 
 
 # ------------------------------------------------------- fused attention
@@ -356,8 +378,7 @@ def attention_and_grads(fn, q, k, v, mask, c, r):
         ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         out = fn(*ts, mask, c)
         loss = T.reduce_sum(T.multiply(out, Tensor(r)))
-    grads = backward(tape, loss)
-    return out.data, [grads[t.node_id_on(tape)] for t in ts]
+    return out.data, backward(tape, loss, ts)
 
 
 def attention_case(lengths, heads):
@@ -425,8 +446,8 @@ def test_attention_records_once_and_passes_no_gradient_to_the_mask(rng):
     # The record keeps q, k^T, v and the mask; the weights are recomputed.
     assert [a.shape for a in tape.records[0].saved] == [(2, 3, 2), (2, 2, 3), (2, 3, 2),
                                                          (2, 1, 3)]
-    grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[mask.node_id_on(tape)], np.zeros((2, 1, 3)))
+    _, _, _, g_mask = backward(tape, loss, [q, k, v, mask])
+    np.testing.assert_array_equal(g_mask, np.zeros((2, 1, 3)))
 
 
 def test_attention_rejects_mismatched_shapes(rng):
